@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/plan"
 	"repro/internal/telemetry"
+	"repro/internal/types"
 )
 
 // ExplainAnalyze compiles and executes a query with per-operator
@@ -26,16 +27,17 @@ func (c *Cluster) ExplainAnalyze(query string) (*Result, *Analysis, error) {
 
 // ExplainAnalyzeScoped is ExplainAnalyze under a caller-owned scope.
 func (c *Cluster) ExplainAnalyzeScoped(query string, sc *telemetry.Scope) (*Result, *Analysis, error) {
-	p, hit, err := c.CompileCached(query)
+	p, args, hit, err := c.CompileCached(query)
 	if err != nil {
 		return nil, nil, err
 	}
 	az := &analyzeState{}
-	res, err := c.runPlan(context.Background(), p, sc, query, az)
+	res, err := c.run(context.Background(), p, args, sc, query, az)
 	if err != nil {
 		return nil, nil, err
 	}
 	if az.an != nil {
+		az.an.Args = args // as given, so Render shows the literals
 		az.an.CacheState = "miss"
 		if hit {
 			az.an.CacheState = "hit"
@@ -233,7 +235,10 @@ func (az *analyzeState) finish(e *exec) {
 // operator templates are instantiated once per node, and the instances
 // share counters keyed by plan-node id.
 type Analysis struct {
+	// Plan is the executed plan; for a shared template, Args holds the
+	// arguments it ran with, which Render shows in place of $n.
 	Plan  *plan.Plan
+	Args  []types.Value
 	Scope *telemetry.Scope
 	Mode  string
 	Nodes int
@@ -421,6 +426,7 @@ func (a *Analysis) Render() string {
 	}
 	head += "\n"
 	out := head + a.Plan.Render(plan.Annotations{
+		Args: a.Args,
 		Op: func(op plan.PhysOp) string {
 			rows, blocks, busy := a.OpStats(op)
 			s := fmt.Sprintf("  (rows=%d blocks=%d time=%v self=%v",

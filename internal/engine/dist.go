@@ -159,9 +159,15 @@ func NewClusterDist(cfg Config, cat *catalog.Catalog, node *network.TCPNode) (*C
 	}
 	inj := cfg.resolveFaults()
 	node.SetFaults(inj)
-	if cfg.Retry != nil {
-		node.SetRetryPolicy(*cfg.Retry)
+	// Dist mode always runs the reliable protocol: peers register a
+	// query's exchanges at different times, and a frame that arrives
+	// before its inbox exists is dropped unacked, so only a retransmit
+	// can deliver it.
+	if cfg.Retry == nil {
+		retry := network.DefaultRetryPolicy
+		cfg.Retry = &retry
 	}
+	node.SetRetryPolicy(*cfg.Retry)
 	df := network.NewDistFabric(node)
 	c := &Cluster{
 		cfg: cfg, cat: cat, faultInj: inj,
@@ -193,10 +199,7 @@ func (c *Cluster) LocalNode() int {
 // distributed mode ids must be unique across every process that can
 // coordinate, so the low byte carries the local node id (+1, so a
 // distributed id is never mistaken for a pre-dist plain sequence
-// number) under a per-process sequence. Ids stay below
-// network.ReservedQueryIDBase by construction, so they can never
-// collide with out-of-band tool dataflows (the claims-node mesh
-// exerciser) that share the transport.
+// number) under a per-process sequence.
 func (c *Cluster) NextQueryID() int {
 	seq := querySeq.Add(1)
 	if c.dist == nil {
@@ -226,7 +229,7 @@ func (c *Cluster) RunCoordinated(ctx context.Context, spec ExecSpec, sc *telemet
 	if sc == nil {
 		sc = newQueryScope()
 	}
-	return c.runPlanOpts(ctx, p, sc, spec.SQL, nil, specOpts(spec, c.dist.local))
+	return c.runPlanOpts(ctx, p, nil, sc, spec.SQL, nil, specOpts(spec, c.dist.local))
 }
 
 // RunParticipant executes this process's share of a distributed query
@@ -242,7 +245,7 @@ func (c *Cluster) RunParticipant(ctx context.Context, spec ExecSpec) error {
 	if err != nil {
 		return err
 	}
-	_, err = c.runPlanOpts(ctx, p, newQueryScope(), spec.SQL, nil, specOpts(spec, c.dist.local))
+	_, err = c.runPlanOpts(ctx, p, nil, newQueryScope(), spec.SQL, nil, specOpts(spec, c.dist.local))
 	return err
 }
 
@@ -267,7 +270,7 @@ func (c *Cluster) RunParticipantStats(ctx context.Context, spec ExecSpec) (*tele
 	sentSink := telemetry.NewMemSink(telemetry.KindBlockSent)
 	sc.Attach(spanSink)
 	sc.Attach(sentSink)
-	if _, err := c.runPlanOpts(ctx, p, sc, spec.SQL, nil, specOpts(spec, c.dist.local)); err != nil {
+	if _, err := c.runPlanOpts(ctx, p, nil, sc, spec.SQL, nil, specOpts(spec, c.dist.local)); err != nil {
 		return nil, err
 	}
 	snap := sc.Snapshot(c.dist.local)
@@ -336,7 +339,7 @@ func (c *Cluster) RunCoordinatedAnalyze(ctx context.Context, spec ExecSpec, sc *
 		sc = newQueryScope()
 	}
 	az := &analyzeState{}
-	res, err := c.runPlanOpts(ctx, p, sc, spec.SQL, az, specOpts(spec, c.dist.local))
+	res, err := c.runPlanOpts(ctx, p, nil, sc, spec.SQL, az, specOpts(spec, c.dist.local))
 	if err != nil {
 		return nil, nil, err
 	}

@@ -204,6 +204,63 @@ func TestDistQueryMatchesSingleProcess(t *testing.T) {
 	}
 }
 
+// TestDistDelayedRegistrationCompletes is the regression test for
+// early frames: one participant registers its exchanges only after its
+// peers have started streaming to it. Its transport drops those frames
+// as strays (unacked), and because dist mode always runs the reliable
+// protocol the senders retransmit them once the inboxes exist, so the
+// query completes with the reference result. The clusters set no
+// Config.Retry: the default itself must be safe.
+func TestDistDelayedRegistrationCompletes(t *testing.T) {
+	const nNodes, coord, late = 3, 0, 2
+	cfg := Config{CoresPerNode: 2, BlockSize: 2048, ExchangeBuffer: 8}
+	var clusters []*Cluster
+	for i := 0; i < nNodes; i++ {
+		clusters = append(clusters, buildDistCluster(t, i, nNodes, cfg))
+	}
+	defer func() {
+		for _, c := range clusters {
+			c.Close()
+		}
+	}()
+	meshDist(clusters)
+	refC := buildDistReference(t, nNodes)
+	defer refC.Close()
+
+	sql := `SELECT acct_id, sum(trade_volume) FROM trades GROUP BY acct_id`
+	want, err := refC.Run(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := ExecSpec{
+		QID: clusters[coord].NextQueryID(), SQL: sql,
+		Coordinator: coord, DataNodes: []int{0, 1, 2},
+	}
+	partErr := make(chan error, 2)
+	go func() { partErr <- clusters[1].RunParticipant(context.Background(), spec) }()
+	go func() {
+		time.Sleep(300 * time.Millisecond)
+		partErr <- clusters[late].RunParticipant(context.Background(), spec)
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	res, err := clusters[coord].RunCoordinated(ctx, spec, nil)
+	if err != nil {
+		t.Fatalf("coordinator: %v", err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := <-partErr; err != nil {
+			t.Fatalf("participant: %v", err)
+		}
+	}
+	if got, exp := sortedRows(res), sortedRows(want); !equalStrings(got, exp) {
+		t.Fatalf("delayed-registration result diverges: %d rows vs %d", len(got), len(exp))
+	}
+	if n := clusters[late].dist.fabric.Node().StrayDropped(); n == 0 {
+		t.Fatal("late participant dropped no stray frames; the test did not exercise early arrival")
+	}
+}
+
 // buildDistReference is the all-in-one-process control group: same
 // catalog, same deterministic dataset, classic execution.
 func buildDistReference(t *testing.T, nNodes int) *Cluster {
@@ -264,8 +321,8 @@ func TestDistNodeLostMidQuery(t *testing.T) {
 
 	dataNodes := []int{0, 1, 2}
 	spec := ExecSpec{
-		QID: clusters[coord].NextQueryID(),
-		SQL: `SELECT acct_id, sum(trade_volume) FROM trades GROUP BY acct_id`,
+		QID:         clusters[coord].NextQueryID(),
+		SQL:         `SELECT acct_id, sum(trade_volume) FROM trades GROUP BY acct_id`,
 		Coordinator: coord, DataNodes: dataNodes,
 	}
 

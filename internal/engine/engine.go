@@ -96,7 +96,9 @@ type Config struct {
 	Faults *faults.Injector
 	// Retry overrides the transports' reliable-send policy. Setting it
 	// forces the reliable (ack + retransmit) protocol on even without an
-	// injector; leave nil outside recovery tests.
+	// injector; leave nil outside recovery tests. Distributed clusters
+	// (NewClusterDist) always run the reliable protocol, with
+	// network.DefaultRetryPolicy when Retry is nil.
 	Retry *network.RetryPolicy
 	// Wire tunes the TCP fabric (connection pool size, send window,
 	// coalescing). Nil uses network.DefaultWireConfig; ignored by the

@@ -13,6 +13,7 @@ import (
 	"repro/internal/network"
 	"repro/internal/plan"
 	"repro/internal/telemetry"
+	"repro/internal/types"
 )
 
 // querySeq hands out process-unique query ids. Every fabric exchange is
@@ -23,32 +24,30 @@ var querySeq atomic.Int64
 
 // Run compiles and executes a SQL query.
 func (c *Cluster) Run(query string) (*Result, error) {
-	p, _, err := c.CompileCached(query)
-	if err != nil {
-		return nil, err
-	}
-	return c.runAuto(context.Background(), p, nil, query)
+	return c.runText(context.Background(), query, nil)
 }
 
 // RunContext is Run under a context: cancellation (or deadline expiry)
 // routes into the query's fail-fast teardown, aborting every exchange
 // so no worker stays wedged, and the call returns the context's error.
 func (c *Cluster) RunContext(ctx context.Context, query string) (*Result, error) {
-	p, _, err := c.CompileCached(query)
-	if err != nil {
-		return nil, err
-	}
-	return c.runAuto(ctx, p, nil, query)
+	return c.runText(ctx, query, nil)
 }
 
 // RunScoped compiles and executes a SQL query under the given telemetry
 // scope, so callers can attach sinks before execution starts.
 func (c *Cluster) RunScoped(query string, sc *telemetry.Scope) (*Result, error) {
-	p, _, err := c.CompileCached(query)
+	return c.runText(context.Background(), query, sc)
+}
+
+// runText compiles ad-hoc SQL through the plan cache and runs the plan
+// with the arguments the cache lifted from its literals.
+func (c *Cluster) runText(ctx context.Context, query string, sc *telemetry.Scope) (*Result, error) {
+	p, args, _, err := c.CompileCached(query)
 	if err != nil {
 		return nil, err
 	}
-	return c.runAuto(context.Background(), p, sc, query)
+	return c.run(ctx, p, args, sc, query, nil)
 }
 
 // queryScopeSeq numbers the auto-created query scopes of a process.
@@ -88,9 +87,12 @@ type runOpts struct {
 // exec carries one query's runtime state. All measurement flows through
 // the telemetry scope; ExecStats is derived from it after completion.
 type exec struct {
-	c   *Cluster
-	p   *plan.Plan
-	qid int // cluster-unique query id: the exchange namespace
+	c *Cluster
+	p *plan.Plan
+	// args binds the execution's arguments into the plan's
+	// parameterized expressions as operators are instantiated.
+	args argBinder
+	qid  int // cluster-unique query id: the exchange namespace
 	// master is the node hosting master segments and the result
 	// collector; dataNodes are the nodes running data segments; local
 	// restricts instantiation to one node (-1 = instantiate all, the
@@ -109,10 +111,10 @@ type exec struct {
 	// compose through one hierarchy.
 	qmem      []*block.Tracker
 	exchanges map[int]network.FabricExchange
-	consNodes  map[int][]int
-	insts      []*segInst
-	resultEx   network.FabricExchange
-	stop       chan struct{}
+	consNodes map[int][]int
+	insts     []*segInst
+	resultEx  network.FabricExchange
+	stop      chan struct{}
 
 	// failOnce/failErr implement fail-fast teardown: the first error
 	// aborts every exchange so no sender, receiver or worker stays
@@ -236,27 +238,25 @@ func (c *Cluster) RunPlan(p *plan.Plan) (*Result, error) {
 // RunPlanScoped executes a compiled plan under the cluster's mode,
 // recording all measurements on the given scope.
 func (c *Cluster) RunPlanScoped(p *plan.Plan, sc *telemetry.Scope) (*Result, error) {
-	return c.runPlan(context.Background(), p, sc, "", nil)
+	return c.runPlanOpts(context.Background(), p, nil, sc, "", nil, nil)
 }
 
-// runPlan is the single execution entry point behind Run/RunScoped/
-// RunContext/RunPlan/RunPlanScoped and ExplainAnalyze. sqlText (when
-// known) labels the query in the process registry; az non-nil collects
-// the extra per-exchange measurements EXPLAIN ANALYZE reports; ctx
-// cancellation routes into the fail-fast teardown.
-func (c *Cluster) runPlan(ctx context.Context, p *plan.Plan, sc *telemetry.Scope, sqlText string, az *analyzeState) (res *Result, err error) {
-	return c.runPlanOpts(ctx, p, sc, sqlText, az, nil)
-}
-
-// runPlanOpts is runPlan with explicit placement — the distributed
-// path, where each participating process runs it against the same plan
-// under the same opts and instantiates only its local share.
-func (c *Cluster) runPlanOpts(ctx context.Context, p *plan.Plan, sc *telemetry.Scope, sqlText string, az *analyzeState, opts *runOpts) (res *Result, err error) {
+// runPlanOpts executes a compiled plan with its arguments on the
+// parallel dataflow. It is the execution entry point behind run,
+// RunPlan/RunPlanScoped and the distributed path, where each
+// participating process runs it against the same plan under the same
+// opts and instantiates only its local share (nil opts: the classic
+// all-in-one-process placement). sqlText (when known) labels the query
+// in the process registry; az non-nil collects the extra per-exchange
+// measurements EXPLAIN ANALYZE reports; ctx cancellation routes into
+// the fail-fast teardown.
+func (c *Cluster) runPlanOpts(ctx context.Context, p *plan.Plan, args []types.Value, sc *telemetry.Scope, sqlText string, az *analyzeState, opts *runOpts) (res *Result, err error) {
 	if c.closed.Load() {
 		return nil, ErrClosed
 	}
-	if p.NumParams > 0 {
-		return nil, fmt.Errorf("engine: plan has %d unbound parameters; use PREPARE/EXECUTE or pass arguments", p.NumParams)
+	vals, err := p.CoerceArgs(args)
+	if err != nil {
+		return nil, err
 	}
 	qrec := telemetry.DefaultRegistry().Begin(sc, sqlText)
 	defer func() { telemetry.DefaultRegistry().Finish(qrec, err) }()
@@ -265,6 +265,7 @@ func (c *Cluster) runPlanOpts(ctx context.Context, p *plan.Plan, sc *telemetry.S
 
 	e := &exec{
 		c: c, p: p,
+		args:      argBinder{vals: vals},
 		tracker:   block.NewTracker(),
 		exchanges: make(map[int]network.FabricExchange),
 		consNodes: make(map[int][]int),
@@ -593,7 +594,7 @@ func (e *exec) instantiate(seg *plan.Segment, node int) (*segInst, error) {
 		ex := e.exchanges[seg.Out.Exchange]
 		outbox = ex.Outbox(node)
 		if seg.Out.PartKeys != nil {
-			part = iterator.HashPartitioner(seg.Out.PartKeys)
+			part = iterator.HashPartitioner(e.args.list(seg.Out.PartKeys))
 		} else {
 			part = iterator.GatherPartitioner()
 		}
@@ -628,9 +629,10 @@ func (e *exec) buildOpInner(op plan.PhysOp, node int, inst *segInst) (iterator.I
 			return nil, err
 		}
 		inst.hasScan = true
+		pred := e.args.expr(n.Pred)
 		var it iterator.Iterator = iterator.NewScanWithSchema(part, n.Sch)
-		if n.Pred != nil {
-			f := iterator.NewFilter(it, n.Sch, n.Pred)
+		if pred != nil {
+			f := iterator.NewFilter(it, n.Sch, pred)
 			f.RowExec = e.c.cfg.RowExec
 			it = f
 		}
@@ -658,7 +660,7 @@ func (e *exec) buildOpInner(op plan.PhysOp, node int, inst *segInst) (iterator.I
 		if err != nil {
 			return nil, err
 		}
-		f := iterator.NewFilter(child, n.Child.Schema(), n.Pred)
+		f := iterator.NewFilter(child, n.Child.Schema(), e.args.expr(n.Pred))
 		f.RowExec = e.c.cfg.RowExec
 		return f, nil
 
@@ -667,7 +669,7 @@ func (e *exec) buildOpInner(op plan.PhysOp, node int, inst *segInst) (iterator.I
 		if err != nil {
 			return nil, err
 		}
-		pr := iterator.NewProject(child, n.Child.Schema(), n.Sch, n.Exprs)
+		pr := iterator.NewProject(child, n.Child.Schema(), n.Sch, e.args.list(n.Exprs))
 		pr.RowExec = e.c.cfg.RowExec
 		return pr, nil
 
@@ -681,7 +683,7 @@ func (e *exec) buildOpInner(op plan.PhysOp, node int, inst *segInst) (iterator.I
 			return nil, err
 		}
 		hj := iterator.NewHashJoin(build, probe, n.Build.Schema(), n.Probe.Schema(),
-			n.BuildKeys, n.ProbeKeys)
+			e.args.list(n.BuildKeys), e.args.list(n.ProbeKeys))
 		hj.RowExec = e.c.cfg.RowExec
 		hj.Mem = e.opMem(n, "hashjoin", node)
 		inst.joins = append(inst.joins, hj)
@@ -692,7 +694,8 @@ func (e *exec) buildOpInner(op plan.PhysOp, node int, inst *segInst) (iterator.I
 		if err != nil {
 			return nil, err
 		}
-		ha := iterator.NewHashAgg(child, n.Child.Schema(), n.Keys, n.KeyNames, n.Specs, n.Algo)
+		ha := iterator.NewHashAgg(child, n.Child.Schema(), e.args.list(n.Keys), n.KeyNames,
+			e.args.specs(n.Specs), n.Algo)
 		ha.RowExec = e.c.cfg.RowExec
 		ha.Mem = e.opMem(n, "hashagg", node)
 		inst.aggs = append(inst.aggs, ha)
@@ -703,7 +706,7 @@ func (e *exec) buildOpInner(op plan.PhysOp, node int, inst *segInst) (iterator.I
 		if err != nil {
 			return nil, err
 		}
-		so := iterator.NewSort(child, n.Child.Schema(), n.Keys)
+		so := iterator.NewSort(child, n.Child.Schema(), e.args.sortKeys(n.Keys))
 		so.Mem = e.opMem(n, "sort", node)
 		return so, nil
 
@@ -712,7 +715,7 @@ func (e *exec) buildOpInner(op plan.PhysOp, node int, inst *segInst) (iterator.I
 		if err != nil {
 			return nil, err
 		}
-		return iterator.NewTopN(child, n.Child.Schema(), n.Keys, int(n.N)), nil
+		return iterator.NewTopN(child, n.Child.Schema(), e.args.sortKeys(n.Keys), int(n.N)), nil
 
 	case *plan.PLimit:
 		child, err := e.buildOp(n.Child, node, inst)

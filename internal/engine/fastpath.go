@@ -10,6 +10,7 @@ import (
 	"repro/internal/plan"
 	"repro/internal/storage"
 	"repro/internal/telemetry"
+	"repro/internal/types"
 )
 
 // The serial fast path. High-QPS point lookups spend microseconds in
@@ -71,10 +72,12 @@ func (c *Cluster) fastEligible(p *plan.Plan) bool {
 	return true
 }
 
-// runFast executes an eligible bound plan serially. The middle return
-// reports whether the fast path ran; (nil, false, nil) means the
-// caller should fall back to the parallel executor.
-func (c *Cluster) runFast(ctx context.Context, p *plan.Plan, sc *telemetry.Scope, sqlText string) (*Result, bool, error) {
+// runFast executes an eligible plan serially with its arguments.
+func (c *Cluster) runFast(ctx context.Context, p *plan.Plan, args []types.Value, sc *telemetry.Scope, sqlText string) (*Result, error) {
+	vals, err := p.CoerceArgs(args)
+	if err != nil {
+		return nil, err
+	}
 	reg := telemetry.DefaultRegistry()
 	if sc == nil && reg != nil {
 		// Ring-less scope: the event ring is a debugging window whose
@@ -85,20 +88,20 @@ func (c *Cluster) runFast(ctx context.Context, p *plan.Plan, sc *telemetry.Scope
 	}
 	qrec := reg.Begin(sc, sqlText)
 	start := time.Now()
-	res, err := c.runFastInner(ctx, p)
+	res, err := c.runFastInner(ctx, p, &argBinder{vals: vals})
 	reg.Finish(qrec, err)
 	if err != nil {
-		return nil, true, err
+		return nil, err
 	}
 	if reg != nil {
 		reg.Counter(telemetry.CtrFastPathQueries).Inc()
 	}
 	res.Stats.Duration = time.Since(start)
 	res.Scope = sc
-	return res, true, nil
+	return res, nil
 }
 
-func (c *Cluster) runFastInner(ctx context.Context, p *plan.Plan) (*Result, error) {
+func (c *Cluster) runFastInner(ctx context.Context, p *plan.Plan, args *argBinder) (*Result, error) {
 	// Exchange edges become accumulated block slices; feeds[ex] is
 	// replayed by the consumer's merger position.
 	feeds := make(map[int][]*block.Block)
@@ -118,7 +121,7 @@ func (c *Cluster) runFastInner(ctx context.Context, p *plan.Plan) (*Result, erro
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		segOut, err := c.fastRunSegment(ctx, seg, nodes, feeds)
+		segOut, err := c.fastRunSegment(ctx, seg, nodes, feeds, args)
 		if err != nil {
 			return nil, err
 		}
@@ -144,8 +147,8 @@ func (c *Cluster) runFastInner(ctx context.Context, p *plan.Plan) (*Result, erro
 // serial drive makes the union-of-partitions input equivalent to the
 // parallel per-node instances for the algebraic operators admitted by
 // fastEligible.
-func (c *Cluster) fastRunSegment(ctx context.Context, seg *plan.Segment, nodes []int, feeds map[int][]*block.Block) ([]*block.Block, error) {
-	it, err := c.buildFast(seg.Root, nodes, feeds)
+func (c *Cluster) fastRunSegment(ctx context.Context, seg *plan.Segment, nodes []int, feeds map[int][]*block.Block, args *argBinder) ([]*block.Block, error) {
+	it, err := c.buildFast(seg.Root, nodes, feeds, args)
 	if err != nil {
 		return nil, err
 	}
@@ -173,7 +176,7 @@ func (c *Cluster) fastRunSegment(ctx context.Context, seg *plan.Segment, nodes [
 // scans expand to a chain over every node's partition, mergers read
 // materialized upstream blocks, stateful operators run unaccounted
 // (the row cap bounds their state).
-func (c *Cluster) buildFast(op plan.PhysOp, nodes []int, feeds map[int][]*block.Block) (iterator.Iterator, error) {
+func (c *Cluster) buildFast(op plan.PhysOp, nodes []int, feeds map[int][]*block.Block, args *argBinder) (iterator.Iterator, error) {
 	switch n := op.(type) {
 	case *plan.PScan:
 		parts := make([]*storage.Partition, len(nodes))
@@ -184,9 +187,10 @@ func (c *Cluster) buildFast(op plan.PhysOp, nodes []int, feeds map[int][]*block.
 			}
 			parts[i] = part
 		}
+		pred := args.expr(n.Pred)
 		var it iterator.Iterator = iterator.NewSerialScan(parts, n.Sch)
-		if n.Pred != nil {
-			f := iterator.NewFilter(it, n.Sch, n.Pred)
+		if pred != nil {
+			f := iterator.NewFilter(it, n.Sch, pred)
 			f.RowExec = c.cfg.RowExec
 			it = f
 		}
@@ -196,49 +200,50 @@ func (c *Cluster) buildFast(op plan.PhysOp, nodes []int, feeds map[int][]*block.
 		return &blockFeed{blocks: feeds[n.Exchange]}, nil
 
 	case *plan.PFilter:
-		child, err := c.buildFast(n.Child, nodes, feeds)
+		child, err := c.buildFast(n.Child, nodes, feeds, args)
 		if err != nil {
 			return nil, err
 		}
-		f := iterator.NewFilter(child, n.Child.Schema(), n.Pred)
+		f := iterator.NewFilter(child, n.Child.Schema(), args.expr(n.Pred))
 		f.RowExec = c.cfg.RowExec
 		return f, nil
 
 	case *plan.PProject:
-		child, err := c.buildFast(n.Child, nodes, feeds)
+		child, err := c.buildFast(n.Child, nodes, feeds, args)
 		if err != nil {
 			return nil, err
 		}
-		pr := iterator.NewProject(child, n.Child.Schema(), n.Sch, n.Exprs)
+		pr := iterator.NewProject(child, n.Child.Schema(), n.Sch, args.list(n.Exprs))
 		pr.RowExec = c.cfg.RowExec
 		return pr, nil
 
 	case *plan.PHashAgg:
-		child, err := c.buildFast(n.Child, nodes, feeds)
+		child, err := c.buildFast(n.Child, nodes, feeds, args)
 		if err != nil {
 			return nil, err
 		}
-		ha := iterator.NewHashAgg(child, n.Child.Schema(), n.Keys, n.KeyNames, n.Specs, n.Algo)
+		ha := iterator.NewHashAgg(child, n.Child.Schema(), args.list(n.Keys), n.KeyNames,
+			args.specs(n.Specs), n.Algo)
 		ha.RowExec = c.cfg.RowExec
 		ha.Serial()
 		return ha, nil
 
 	case *plan.PSort:
-		child, err := c.buildFast(n.Child, nodes, feeds)
+		child, err := c.buildFast(n.Child, nodes, feeds, args)
 		if err != nil {
 			return nil, err
 		}
-		return iterator.NewSort(child, n.Child.Schema(), n.Keys), nil
+		return iterator.NewSort(child, n.Child.Schema(), args.sortKeys(n.Keys)), nil
 
 	case *plan.PTopN:
-		child, err := c.buildFast(n.Child, nodes, feeds)
+		child, err := c.buildFast(n.Child, nodes, feeds, args)
 		if err != nil {
 			return nil, err
 		}
-		return iterator.NewTopN(child, n.Child.Schema(), n.Keys, int(n.N)), nil
+		return iterator.NewTopN(child, n.Child.Schema(), args.sortKeys(n.Keys), int(n.N)), nil
 
 	case *plan.PLimit:
-		child, err := c.buildFast(n.Child, nodes, feeds)
+		child, err := c.buildFast(n.Child, nodes, feeds, args)
 		if err != nil {
 			return nil, err
 		}

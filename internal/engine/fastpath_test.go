@@ -107,12 +107,12 @@ func TestFastPathPreparedMatchesAdHoc(t *testing.T) {
 	c := buildFastFixture(t, true)
 	defer c.Close()
 
-	p, _, err := c.CompileCached("SELECT acct_id, trade_volume FROM trades WHERE sec_code = $1")
+	p, _, _, err := c.CompileCached("SELECT acct_id, trade_volume FROM trades WHERE sec_code = $1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, sec := range []int64{0, 3, 10} {
-		prep, err := c.RunBound(nil, p, []types.Value{types.IntVal(sec)}, "execute")
+		prep, err := c.Execute(nil, p, []types.Value{types.IntVal(sec)}, "execute")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,19 +134,19 @@ func TestPlanCacheInvalidationOnCatalogBump(t *testing.T) {
 	defer c.Close()
 
 	q := "SELECT count(*) FROM trades"
-	if _, hit, err := c.CompileCached(q); err != nil || hit {
+	if _, _, hit, err := c.CompileCached(q); err != nil || hit {
 		t.Fatalf("first compile: hit=%v err=%v, want cold miss", hit, err)
 	}
-	if _, hit, err := c.CompileCached(q); err != nil || !hit {
+	if _, _, hit, err := c.CompileCached(q); err != nil || !hit {
 		t.Fatalf("second compile: hit=%v err=%v, want hit", hit, err)
 	}
 
 	c.cat.BumpVersion()
-	if _, hit, err := c.CompileCached(q); err != nil || hit {
+	if _, _, hit, err := c.CompileCached(q); err != nil || hit {
 		t.Fatalf("post-bump compile: hit=%v err=%v, want recompile", hit, err)
 	}
 	// The recompiled plan is cached under the new version.
-	if _, hit, err := c.CompileCached(q); err != nil || !hit {
+	if _, _, hit, err := c.CompileCached(q); err != nil || !hit {
 		t.Fatalf("post-bump second compile: hit=%v err=%v, want hit", hit, err)
 	}
 }

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/plan"
 	"repro/internal/sql"
@@ -10,31 +9,46 @@ import (
 	"repro/internal/types"
 )
 
-// This file is the prepared-statement / plan-cache face of the
-// cluster. Compilation is keyed on the statement's normalized text and
-// the catalog version it was planned against, so repeated statements —
-// whether re-submitted ad hoc or EXECUTEd through a session — skip
-// parse and plan entirely. Cached plans may be parameterized templates
-// (expr.Param slots for $n); RunBound specializes them copy-on-write
-// before execution, so one template serves concurrent EXECUTEs.
+// This file is the plan-cache face of the cluster. Compilation is
+// keyed on the statement's normalized text and the catalog version it
+// was planned against, so repeated statements — whether re-submitted
+// ad hoc or EXECUTEd through a session — skip parse and plan entirely.
+// Plans are never modified: arguments are an input of each execution.
 
 // CompileCached compiles query against the current catalog, consulting
-// the cluster's plan cache first. The returned bool reports a cache
-// hit. The plan may be a parameterized template (NumParams > 0): it is
-// shared and must not be mutated — pass it through plan.Bind (or
-// RunBound) to execute.
-func (c *Cluster) CompileCached(query string) (*plan.Plan, bool, error) {
-	cache := c.planCache
-	if cache == nil {
-		p, err := plan.Compile(query, c.cat)
-		return p, false, err
-	}
-	key, err := sql.Normalize(query)
+// the cluster's plan cache first. It returns the plan, the arguments
+// to execute it with, and whether the plan came from the cache.
+//
+// Comparison literals are lifted into arguments (sql.Parameterize), so
+// statements differing only in them share one template with each other
+// and with the same statement written with $n. If the literals do not
+// fit the template's slots exactly (plan.ArgsExact), or the template
+// does not compile, the literal text is compiled instead, so results
+// and errors are those of the text as written. With caching disabled
+// (PlanCacheSize < 0) nothing is lifted.
+func (c *Cluster) CompileCached(query string) (*plan.Plan, []types.Value, bool, error) {
+	l, err := sql.Parameterize(query)
 	if err != nil {
 		// Not lexable: let the parser produce its richer error.
 		p, cerr := plan.Compile(query, c.cat)
-		return p, false, cerr
+		return p, nil, false, cerr
 	}
+	if len(l.Args) == 0 || c.cfg.PlanCacheSize < 0 {
+		p, hit, err := c.cached(l.Key, query)
+		return p, nil, hit, err
+	}
+	if p, hit, err := c.cached(l.Key, l.Template); err == nil && p.ArgsExact(l.Args) {
+		return p, l.Args, hit, nil
+	}
+	key, _ := sql.Normalize(query) // lexes: Parameterize just did
+	p, hit, err := c.cached(key, query)
+	return p, nil, hit, err
+}
+
+// cached returns the plan cached under key, compiling text and caching
+// the result on a miss. The process registry counts the outcome.
+func (c *Cluster) cached(key, text string) (*plan.Plan, bool, error) {
+	cache := c.planCache
 	version := c.cat.Version()
 	reg := telemetry.DefaultRegistry()
 	if p, ok := cache.Get(key, version); ok {
@@ -43,7 +57,7 @@ func (c *Cluster) CompileCached(query string) (*plan.Plan, bool, error) {
 	}
 	reg.Counter(telemetry.CtrPlanCacheMisses).Inc()
 	evBefore := cache.Stats().Evictions
-	p, err := plan.Compile(query, c.cat)
+	p, err := plan.Compile(text, c.cat)
 	if err != nil {
 		return nil, false, err
 	}
@@ -65,56 +79,30 @@ func (c *Cluster) CatalogVersion() int64 {
 	return c.cat.Version()
 }
 
-// RunBound binds args into the (possibly cached, possibly
-// parameterized) plan and executes it. This is the EXECUTE path: the
-// template stays untouched; the specialized instance comes from the
-// template's bound-plan pool and returns there after a successful run,
-// so steady-state EXECUTEs skip the copy-on-write clone. sqlText
-// labels telemetry and errors.
-func (c *Cluster) RunBound(ctx context.Context, p *plan.Plan, args []types.Value, sqlText string) (*Result, error) {
+// Execute runs a compiled plan with args bound to its $n slots — the
+// EXECUTE path, and with CompileCached's arguments the ad-hoc one. The
+// plan is not modified, so one cached template serves any number of
+// concurrent executions. sqlText labels telemetry and errors.
+func (c *Cluster) Execute(ctx context.Context, p *plan.Plan, args []types.Value, sqlText string) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	bound, err := p.AcquireBound(args)
-	if err != nil {
-		return nil, err
-	}
-	res, err := c.runAuto(ctx, bound, nil, sqlText)
-	if err == nil {
-		// Error paths may leave teardown stragglers that still hold the
-		// instance's iterators; only a cleanly joined run recycles it.
-		p.ReleaseBound(bound)
-	}
-	return res, err
+	return c.run(ctx, p, args, nil, sqlText, nil)
 }
 
-// RunPrepared is CompileCached + RunBound in one call: the ad-hoc
-// serving path for drivers that send text + args without an explicit
-// PREPARE round trip.
-func (c *Cluster) RunPrepared(ctx context.Context, query string, args []types.Value) (*Result, error) {
-	p, _, err := c.CompileCached(query)
-	if err != nil {
-		return nil, err
-	}
-	return c.RunBound(ctx, p, args, query)
-}
-
-// runAuto executes a fully bound plan, taking the serial fast path
-// when the cluster opted in and the plan is eligible, else the regular
-// parallel dataflow. sc may be nil: each path then creates the scope
-// that suits it (the fast path's is ring-less), so entry points that
-// don't hand scopes to callers skip the allocation.
-func (c *Cluster) runAuto(ctx context.Context, p *plan.Plan, sc *telemetry.Scope, sqlText string) (*Result, error) {
-	if p.NumParams > 0 {
-		return nil, fmt.Errorf("engine: plan has %d unbound parameters; use PREPARE/EXECUTE or pass arguments", p.NumParams)
-	}
-	if c.fastEligible(p) {
-		if res, ok, err := c.runFast(ctx, p, sc, sqlText); ok {
-			return res, err
-		}
+// run is the one execution path behind Run, RunContext, RunScoped,
+// Execute and ExplainAnalyze: a plan and its arguments. It takes the
+// serial fast path when the cluster opted in and the plan is eligible
+// (never for an analyzed run), else the regular parallel dataflow. sc
+// may be nil: each path then creates the scope that suits it (the fast
+// path's is ring-less), so entry points that don't hand scopes to
+// callers skip the allocation.
+func (c *Cluster) run(ctx context.Context, p *plan.Plan, args []types.Value, sc *telemetry.Scope, sqlText string, az *analyzeState) (*Result, error) {
+	if az == nil && c.fastEligible(p) {
+		return c.runFast(ctx, p, args, sc, sqlText)
 	}
 	if sc == nil {
 		sc = newQueryScope()
 	}
-	return c.runPlan(ctx, p, sc, sqlText, nil)
+	return c.runPlanOpts(ctx, p, args, sc, sqlText, az, nil)
 }

@@ -1,11 +1,12 @@
 package expr
 
-// This file implements prepared-statement parameters. A Param is a
-// bindable constant slot left in a compiled plan by PREPARE; EXECUTE
-// substitutes a Const for every slot (SubstParams) before the plan
-// reaches the engine, so the shared cached plan is never mutated and
-// the batch kernels see plain constants. An unbound Param must never
-// be evaluated — the engine refuses plans that still contain one.
+// This file implements statement parameters. A Param is a constant
+// slot left in a compiled plan by $n (or by a literal the plan cache
+// lifted into one). The plan itself is never mutated: each execution
+// substitutes its arguments (SubstParams) into the expressions it
+// instantiates, just before the batch kernels compile, so the kernels
+// see plain constants. An unbound Param must never be evaluated — the
+// engine refuses to run a template without its arguments.
 
 import (
 	"fmt"
@@ -17,7 +18,7 @@ import (
 type Param struct {
 	N int
 	// K is the kind inferred from the parameter's comparison context at
-	// bind time; Typed records whether inference succeeded. Untyped
+	// compile time; Typed records whether inference succeeded. Untyped
 	// parameters default to Int64.
 	K     types.Kind
 	Typed bool
@@ -27,7 +28,7 @@ type Param struct {
 func NewParam(n int) *Param { return &Param{N: n} }
 
 // Eval implements Expr. An unbound parameter yields NULL; execution
-// never reaches here because the engine rejects unbound plans.
+// never reaches here because the engine substitutes every slot.
 func (p *Param) Eval([]byte, *types.Schema) types.Value { return types.NullVal(p.Kind(nil)) }
 
 // Kind implements Expr.
@@ -54,9 +55,9 @@ type ParamBinder interface {
 	// WalkParams visits every parameter slot under the node.
 	WalkParams(fn func(*Param))
 	// BindParams returns the node with parameters substituted by
-	// constants, sharing unchanged subtrees; it must not mutate the
-	// receiver.
-	BindParams(vals []types.Value) (Expr, error)
+	// constants, sharing unchanged subtrees (the receiver itself when
+	// nothing changed); it must not mutate the receiver.
+	BindParams(vals []types.Value) Expr
 }
 
 // WalkParams visits every Param in the tree.
@@ -105,316 +106,104 @@ func WalkParams(e Expr, fn func(*Param)) {
 	}
 }
 
-// HasParam reports whether any parameter slot appears in e. It walks
-// directly instead of through WalkParams so the per-EXECUTE Bind path
-// pays no closure allocation for the common parameter-free subtrees.
-func HasParam(e Expr) bool {
-	switch n := e.(type) {
-	case nil:
-		return false
-	case *Param:
-		return true
-	case *Col, *Const:
-		return false
-	case *Arith:
-		return HasParam(n.L) || HasParam(n.R)
-	case *Cmp:
-		return HasParam(n.L) || HasParam(n.R)
-	case *And:
-		for _, t := range n.Terms {
-			if HasParam(t) {
-				return true
-			}
-		}
-		return false
-	case *Or:
-		for _, t := range n.Terms {
-			if HasParam(t) {
-				return true
-			}
-		}
-		return false
-	case *Not:
-		return HasParam(n.E)
-	case *Like:
-		return HasParam(n.E)
-	case *Between:
-		return HasParam(n.E) || HasParam(n.Lo) || HasParam(n.Hi)
-	case *In:
-		return HasParam(n.E)
-	case *Case:
-		for _, w := range n.Whens {
-			if HasParam(w.Cond) || HasParam(w.Then) {
-				return true
-			}
-		}
-		return HasParam(n.Else)
-	case *Extract:
-		return HasParam(n.E)
-	}
-	found := false
-	if pb, ok := e.(ParamBinder); ok {
-		pb.WalkParams(func(*Param) { found = true })
-	}
-	return found
-}
-
 // SubstParams returns the expression with every Param replaced by the
-// corresponding constant from vals (vals[N-1] binds $N). Subtrees
-// without parameters are shared, not copied, so substitution on the
-// typical plan clones only the spine above each slot. The input tree
-// is never mutated — it may be a cached, concurrently shared plan.
-func SubstParams(e Expr, vals []types.Value) (Expr, error) {
-	out, _, err := substParams(e, vals)
-	return out, err
+// corresponding constant from vals (vals[N-1] binds $N); a slot with no
+// value stays a parameter. Subtrees without parameters are shared, not
+// copied, so substitution clones only the spine above each slot and
+// returns a parameter-free e itself, allocating nothing. The input tree
+// is never mutated — it may belong to a cached, concurrently shared
+// plan.
+func SubstParams(e Expr, vals []types.Value) Expr {
+	out, _ := subst(e, vals)
+	return out
 }
 
-func substParams(e Expr, vals []types.Value) (Expr, bool, error) {
+// subst is SubstParams reporting whether anything changed.
+func subst(e Expr, vals []types.Value) (Expr, bool) {
 	switch n := e.(type) {
-	case nil:
-		return nil, false, nil
 	case *Param:
 		if n.N < 1 || n.N > len(vals) {
-			return nil, false, fmt.Errorf("expr: no value bound for $%d (%d bound)", n.N, len(vals))
+			return e, false
 		}
-		return NewConst(vals[n.N-1]), true, nil
+		return NewConst(vals[n.N-1]), true
 	case *Arith:
-		l, cl, err := substParams(n.L, vals)
-		if err != nil {
-			return nil, false, err
+		l, cl := subst(n.L, vals)
+		r, cr := subst(n.R, vals)
+		if cl || cr {
+			return NewArith(n.Op, l, r), true
 		}
-		r, cr, err := substParams(n.R, vals)
-		if err != nil {
-			return nil, false, err
-		}
-		if !cl && !cr {
-			return e, false, nil
-		}
-		return NewArith(n.Op, l, r), true, nil
 	case *Cmp:
-		l, cl, err := substParams(n.L, vals)
-		if err != nil {
-			return nil, false, err
+		l, cl := subst(n.L, vals)
+		r, cr := subst(n.R, vals)
+		if cl || cr {
+			return NewCmp(n.Op, l, r), true
 		}
-		r, cr, err := substParams(n.R, vals)
-		if err != nil {
-			return nil, false, err
-		}
-		if !cl && !cr {
-			return e, false, nil
-		}
-		return NewCmp(n.Op, l, r), true, nil
 	case *And:
-		terms, changed, err := substList(n.Terms, vals)
-		if err != nil {
-			return nil, false, err
+		if terms, ok := substList(n.Terms, vals); ok {
+			return &And{Terms: terms}, true
 		}
-		if !changed {
-			return e, false, nil
-		}
-		return &And{Terms: terms}, true, nil
 	case *Or:
-		terms, changed, err := substList(n.Terms, vals)
-		if err != nil {
-			return nil, false, err
+		if terms, ok := substList(n.Terms, vals); ok {
+			return &Or{Terms: terms}, true
 		}
-		if !changed {
-			return e, false, nil
-		}
-		return &Or{Terms: terms}, true, nil
 	case *Not:
-		c, changed, err := substParams(n.E, vals)
-		if err != nil {
-			return nil, false, err
+		if c, ok := subst(n.E, vals); ok {
+			return NewNot(c), true
 		}
-		if !changed {
-			return e, false, nil
-		}
-		return NewNot(c), true, nil
 	case *Like:
-		c, changed, err := substParams(n.E, vals)
-		if err != nil {
-			return nil, false, err
+		if c, ok := subst(n.E, vals); ok {
+			return NewLike(c, n.Pattern, n.Negate), true
 		}
-		if !changed {
-			return e, false, nil
-		}
-		return NewLike(c, n.Pattern, n.Negate), true, nil
 	case *Between:
-		c, cc, err := substParams(n.E, vals)
-		if err != nil {
-			return nil, false, err
+		c, cc := subst(n.E, vals)
+		lo, cl := subst(n.Lo, vals)
+		hi, ch := subst(n.Hi, vals)
+		if cc || cl || ch {
+			return NewBetween(c, lo, hi), true
 		}
-		lo, cl, err := substParams(n.Lo, vals)
-		if err != nil {
-			return nil, false, err
-		}
-		hi, ch, err := substParams(n.Hi, vals)
-		if err != nil {
-			return nil, false, err
-		}
-		if !cc && !cl && !ch {
-			return e, false, nil
-		}
-		return NewBetween(c, lo, hi), true, nil
 	case *In:
-		c, changed, err := substParams(n.E, vals)
-		if err != nil {
-			return nil, false, err
+		if c, ok := subst(n.E, vals); ok {
+			return NewIn(c, n.List), true
 		}
-		if !changed {
-			return e, false, nil
-		}
-		return NewIn(c, n.List), true, nil
 	case *Case:
-		changed := false
-		whens := make([]When, len(n.Whens))
+		var whens []When
 		for i, w := range n.Whens {
-			cond, cc, err := substParams(w.Cond, vals)
-			if err != nil {
-				return nil, false, err
+			cond, cc := subst(w.Cond, vals)
+			then, ct := subst(w.Then, vals)
+			if (cc || ct) && whens == nil {
+				whens = append([]When(nil), n.Whens...)
 			}
-			then, ct, err := substParams(w.Then, vals)
-			if err != nil {
-				return nil, false, err
+			if whens != nil {
+				whens[i] = When{Cond: cond, Then: then}
 			}
-			whens[i] = When{Cond: cond, Then: then}
-			changed = changed || cc || ct
 		}
-		els, ce, err := substParams(n.Else, vals)
-		if err != nil {
-			return nil, false, err
+		els, ce := subst(n.Else, vals)
+		if whens != nil || ce {
+			if whens == nil {
+				whens = n.Whens
+			}
+			return NewCase(whens, els), true
 		}
-		if !changed && !ce {
-			return e, false, nil
-		}
-		return NewCase(whens, els), true, nil
 	case *Extract:
-		c, changed, err := substParams(n.E, vals)
-		if err != nil {
-			return nil, false, err
+		if c, ok := subst(n.E, vals); ok {
+			return NewExtract(n.Part, c), true
 		}
-		if !changed {
-			return e, false, nil
-		}
-		return NewExtract(n.Part, c), true, nil
-	default:
-		if pb, ok := e.(ParamBinder); ok {
-			has := false
-			pb.WalkParams(func(*Param) { has = true })
-			if !has {
-				return e, false, nil
-			}
-			out, err := pb.BindParams(vals)
-			if err != nil {
-				return nil, false, err
-			}
-			return out, true, nil
-		}
-		return e, false, nil
+	case ParamBinder:
+		out := n.BindParams(vals)
+		return out, out != e
 	}
+	return e, false
 }
 
-func substList(terms []Expr, vals []types.Value) ([]Expr, bool, error) {
-	changed := false
-	out := make([]Expr, len(terms))
+func substList(terms []Expr, vals []types.Value) ([]Expr, bool) {
+	var out []Expr
 	for i, t := range terms {
-		s, c, err := substParams(t, vals)
-		if err != nil {
-			return nil, false, err
-		}
-		out[i] = s
-		changed = changed || c
-	}
-	if !changed {
-		return terms, false, nil
-	}
-	return out, true, nil
-}
-
-// CollectBoundConsts walks a parameter template and its SubstParams
-// clone in lockstep, reporting each Const that was substituted for a
-// Param ($n reports slot n). It returns false when the pair cannot be
-// tracked — a custom ParamBinder node rebuilt itself, so the clone's
-// shape is not guaranteed to mirror the template — in which case the
-// caller must not assume rec saw every slot.
-//
-// This is what makes bound-plan pooling possible: a pooled clone is
-// re-armed for new arguments by overwriting exactly these Const values
-// in place, skipping the copy-on-write walk entirely.
-func CollectBoundConsts(tmpl, bound Expr, rec func(slot int, c *Const)) bool {
-	if tmpl == bound {
-		// Shared subtree: parameter-free by SubstParams' contract.
-		return true
-	}
-	switch t := tmpl.(type) {
-	case nil:
-		return bound == nil
-	case *Param:
-		c, ok := bound.(*Const)
-		if !ok {
-			return false
-		}
-		rec(t.N, c)
-		return true
-	case *Arith:
-		b, ok := bound.(*Arith)
-		return ok && CollectBoundConsts(t.L, b.L, rec) && CollectBoundConsts(t.R, b.R, rec)
-	case *Cmp:
-		b, ok := bound.(*Cmp)
-		return ok && CollectBoundConsts(t.L, b.L, rec) && CollectBoundConsts(t.R, b.R, rec)
-	case *And:
-		b, ok := bound.(*And)
-		return ok && collectBoundList(t.Terms, b.Terms, rec)
-	case *Or:
-		b, ok := bound.(*Or)
-		return ok && collectBoundList(t.Terms, b.Terms, rec)
-	case *Not:
-		b, ok := bound.(*Not)
-		return ok && CollectBoundConsts(t.E, b.E, rec)
-	case *Like:
-		b, ok := bound.(*Like)
-		return ok && CollectBoundConsts(t.E, b.E, rec)
-	case *Between:
-		b, ok := bound.(*Between)
-		return ok && CollectBoundConsts(t.E, b.E, rec) &&
-			CollectBoundConsts(t.Lo, b.Lo, rec) && CollectBoundConsts(t.Hi, b.Hi, rec)
-	case *In:
-		b, ok := bound.(*In)
-		return ok && CollectBoundConsts(t.E, b.E, rec)
-	case *Case:
-		b, ok := bound.(*Case)
-		if !ok || len(t.Whens) != len(b.Whens) {
-			return false
-		}
-		for i := range t.Whens {
-			if !CollectBoundConsts(t.Whens[i].Cond, b.Whens[i].Cond, rec) ||
-				!CollectBoundConsts(t.Whens[i].Then, b.Whens[i].Then, rec) {
-				return false
+		if s, c := subst(t, vals); c {
+			if out == nil {
+				out = append([]Expr(nil), terms...)
 			}
-		}
-		return CollectBoundConsts(t.Else, b.Else, rec)
-	case *Extract:
-		b, ok := bound.(*Extract)
-		return ok && CollectBoundConsts(t.E, b.E, rec)
-	default:
-		// A custom binder rebuilt itself (tmpl != bound yet contains
-		// params); its internal shape is not ours to mirror.
-		if HasParam(tmpl) {
-			return false
-		}
-		return true
-	}
-}
-
-func collectBoundList(tmpl, bound []Expr, rec func(slot int, c *Const)) bool {
-	if len(tmpl) != len(bound) {
-		return false
-	}
-	for i := range tmpl {
-		if !CollectBoundConsts(tmpl[i], bound[i], rec) {
-			return false
+			out[i] = s
 		}
 	}
-	return true
+	return out, out != nil
 }

@@ -1,7 +1,7 @@
 package iterator
 
 import (
-	"sync/atomic"
+	"sync"
 
 	"repro/internal/block"
 	"repro/internal/storage"
@@ -15,11 +15,15 @@ import (
 // stamps order-preservation sequence numbers and the visit rate 1.0, and
 // honors termination requests at Next.
 type Scan struct {
-	part    *storage.Partition
-	sch     *types.Schema // optional display-name override
-	bySock  [][]*block.Block
-	cursors []atomic.Int64
-	seq     atomic.Uint64
+	part   *storage.Partition
+	sch    *types.Schema // optional display-name override
+	bySock [][]*block.Block
+	// mu claims a block and stamps its sequence number in one step, so
+	// sequence order is claim order — storage order on one socket, which
+	// order-preserving consumers rely on however many workers pull.
+	mu      sync.Mutex
+	cursors []int
+	seq     uint64
 	opened  once
 	barrier *Barrier
 }
@@ -36,7 +40,7 @@ func NewScan(part *storage.Partition) *Scan {
 		sock := b.Socket % n
 		s.bySock[sock] = append(s.bySock[sock], b)
 	}
-	s.cursors = make([]atomic.Int64, n)
+	s.cursors = make([]int, n)
 	return s
 }
 
@@ -84,22 +88,26 @@ func (s *Scan) Next(ctx *Ctx) (*block.Block, Status) {
 		return nil, Terminated
 	}
 	n := len(s.bySock)
+	s.mu.Lock()
 	for probe := 0; probe < n; probe++ {
 		sock := (ctx.Socket + probe) % n
-		idx := s.cursors[sock].Add(1) - 1
-		if idx < int64(len(s.bySock[sock])) {
-			src := s.bySock[sock][idx]
-			out := shallowStamp(src, s.seq.Add(1)-1)
-			// Stage beginners report consumed tuples: this feeds the
-			// scheduler's processing-rate measurement (Section 4.4).
-			if ctx.OnBlockDone != nil {
-				ctx.OnBlockDone(out.NumTuples())
-			}
-			return out, OK
+		idx := s.cursors[sock]
+		if idx == len(s.bySock[sock]) {
+			continue // socket exhausted: steal from the next one
 		}
-		// Socket exhausted; undo is unnecessary (cursor past end is
-		// fine) and we fall through to steal from the next socket.
+		s.cursors[sock]++
+		src, seq := s.bySock[sock][idx], s.seq
+		s.seq++
+		s.mu.Unlock()
+		out := shallowStamp(src, seq)
+		// Stage beginners report consumed tuples: this feeds the
+		// scheduler's processing-rate measurement (Section 4.4).
+		if ctx.OnBlockDone != nil {
+			ctx.OnBlockDone(out.NumTuples())
+		}
+		return out, OK
 	}
+	s.mu.Unlock()
 	return nil, End
 }
 
@@ -122,8 +130,8 @@ func shallowStamp(src *block.Block, seq uint64) *block.Block {
 // machinery would be pure construction overhead; for a lone worker the
 // two produce the same stream of stamped blocks.
 type SerialScan struct {
-	parts []*storage.Partition
-	sch   *types.Schema // optional display-name override
+	parts  []*storage.Partition
+	sch    *types.Schema // optional display-name override
 	pi, bi int
 	seq    uint64
 }

@@ -10,24 +10,6 @@ import (
 	"repro/internal/types"
 )
 
-// Query-id namespace partitioning. Every exchange in both fabrics is
-// keyed by (queryID, exchangeID); served queries draw their ids from
-// the engine (always below ReservedQueryIDBase), while out-of-band
-// tools that ship blocks outside any query — the claims-node -drive
-// mesh exerciser — use ids in the reserved range. Before this split
-// the mesh tool squatted on query id 0, which collided with a served
-// query whose dataflow reused the same (0, exchange) key.
-const (
-	// ReservedQueryIDBase is the first reserved query id: the engine
-	// never assigns ids at or above it.
-	ReservedQueryIDBase = 1 << 30
-	// MeshQueryID is the query id of the claims-node mesh throughput
-	// tool's dataflow.
-	MeshQueryID = ReservedQueryIDBase
-	// MeshExchangeID is the exchange id of the mesh tool's dataflow.
-	MeshExchangeID = 1
-)
-
 // DistFabric is the Fabric of ONE process of a multi-process cluster:
 // it wraps the process's single TCPNode. Where TCPFabric (all nodes in
 // one process) registers inboxes on every consumer node, DistFabric

@@ -70,12 +70,10 @@ func TestEphemeralPortsMeshViaSetPeer(t *testing.T) {
 	}
 }
 
-// TestMeshToolIDsAvoidQueryNamespace is the regression test for the
-// claims-node mesh tool squatting on query id 0: its dataflow now
-// lives in the reserved id range, so a served query's exchanges —
-// including one literally keyed (query just below the reserved base,
-// exchange MeshExchangeID) — never share an inbox with it.
-func TestMeshToolIDsAvoidQueryNamespace(t *testing.T) {
+// TestQueryIDsIsolateExchanges checks the fabric's namespace keying:
+// two queries whose plans reuse one exchange id, live on the same node
+// pair at once, never share an inbox.
+func TestQueryIDsIsolateExchanges(t *testing.T) {
 	n0, err := NewTCPNode(0, "127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -91,34 +89,32 @@ func TestMeshToolIDsAvoidQueryNamespace(t *testing.T) {
 		n.SetPeer(1, n1.Addr())
 	}
 
-	// The mesh tool's inbox, as claims-node -drive registers it…
-	meshIn := n1.RegisterInbox(MeshQueryID, MeshExchangeID, 1, 1, sch, 8, nil)
-	// …and a served query reusing the same plan exchange id.
-	const servedQID = ReservedQueryIDBase - 1
-	queryIn := n1.RegisterInbox(servedQID, MeshExchangeID, 1, 1, sch, 8, nil)
+	const qa, qb, exID = 7, 8, 1
+	inA := n1.RegisterInbox(qa, exID, 1, 1, sch, 8, nil)
+	inB := n1.RegisterInbox(qb, exID, 1, 1, sch, 8, nil)
 
-	meshOb := n0.NewOutbox(MeshQueryID, MeshExchangeID, []int{1, 1})
-	queryOb := n0.NewOutbox(servedQID, MeshExchangeID, []int{1, 1})
+	obA := n0.NewOutbox(qa, exID, []int{1, 1})
+	obB := n0.NewOutbox(qb, exID, []int{1, 1})
 	for i := 0; i < 3; i++ {
-		if err := meshOb.Send(1, mkBlock(int64(i), int64(i+1))); err != nil {
+		if err := obA.Send(1, mkBlock(int64(i), int64(i+1))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := queryOb.Send(1, mkBlock(500, 501)); err != nil {
+	if err := obB.Send(1, mkBlock(500, 501)); err != nil {
 		t.Fatal(err)
 	}
-	if err := meshOb.CloseSend(); err != nil {
+	if err := obA.CloseSend(); err != nil {
 		t.Fatal(err)
 	}
-	if err := queryOb.CloseSend(); err != nil {
+	if err := obB.CloseSend(); err != nil {
 		t.Fatal(err)
 	}
 
-	if got := drainCount(t, meshIn, 5*time.Second); got != 6 {
-		t.Fatalf("mesh inbox received %d tuples, want 6", got)
+	if got := drainCount(t, inA, 5*time.Second); got != 6 {
+		t.Fatalf("query %d inbox received %d tuples, want 6", qa, got)
 	}
-	if got := drainCount(t, queryIn, 5*time.Second); got != 2 {
-		t.Fatalf("query inbox received %d tuples, want 2", got)
+	if got := drainCount(t, inB, 5*time.Second); got != 2 {
+		t.Fatalf("query %d inbox received %d tuples, want 2", qb, got)
 	}
 }
 

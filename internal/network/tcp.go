@@ -72,6 +72,7 @@ type TCPNode struct {
 	statBytes   atomic.Int64
 	statStallNs atomic.Int64
 	statAckErrs atomic.Int64
+	statStray   atomic.Int64
 
 	mu       sync.Mutex
 	pools    map[int]*connPool
@@ -169,6 +170,11 @@ func (n *TCPNode) NetStats() (batches, frames, bytes int64, stall time.Duration,
 	return n.statBatches.Load(), n.statFrames.Load(), n.statBytes.Load(),
 		time.Duration(n.statStallNs.Load()), n.statAckErrs.Load()
 }
+
+// StrayDropped reports the node-lifetime count of frames dropped, and
+// not acked, because their exchange was not registered on this node —
+// early frames the reliable protocol retransmits, or late ones.
+func (n *TCPNode) StrayDropped() int64 { return n.statStray.Load() }
 
 // SetPeer installs or updates the dial address of a peer node and
 // pre-dials its connection pool in the background. A pool dialed to an
@@ -521,7 +527,11 @@ func (n *TCPNode) handleFrame(h frameHeader, pl []byte, acks map[streamKey]uint6
 	}
 	in, sch, trk, scope, err := n.inbox(h.query, h.exchange, h.inst)
 	if err != nil {
-		return // stray frame for an unregistered exchange
+		// Stray frame for an unregistered exchange: drop it unacked
+		// and count it, process-wide too so /metrics shows it.
+		n.statStray.Add(1)
+		telemetry.DefaultRegistry().Counter(telemetry.CtrNetStrayDropped).Inc()
+		return
 	}
 	if crc32.Checksum(pl, crcTable) != h.sum {
 		// Corrupted in transit: drop without acking so the sender

@@ -390,12 +390,12 @@ func (a *addMonths) String() string {
 func (a *addMonths) WalkParams(fn func(*expr.Param)) { expr.WalkParams(a.e, fn) }
 
 // BindParams implements expr.ParamBinder.
-func (a *addMonths) BindParams(vals []types.Value) (expr.Expr, error) {
-	e, err := expr.SubstParams(a.e, vals)
-	if err != nil {
-		return nil, err
+func (a *addMonths) BindParams(vals []types.Value) expr.Expr {
+	e := expr.SubstParams(a.e, vals)
+	if e == a.e {
+		return a
 	}
-	return &addMonths{e: e, months: a.months}, nil
+	return &addMonths{e: e, months: a.months}
 }
 
 // bindOrderBy resolves ORDER BY terms, accepting output aliases

@@ -7,15 +7,15 @@ import (
 
 // Cache is an LRU cache of compiled physical plans, keyed on the
 // statement's normalized text plus the catalog version it was compiled
-// against. Plans are read-only during execution (parameterized
-// templates are specialized copy-on-write by Bind), so one cached plan
-// serves concurrent queries. A catalog change bumps the version, which
-// makes every older entry unreachable; stale entries age out through
-// normal LRU eviction.
+// against. Plans are read-only during execution (arguments are an
+// input of each execution, never written into the plan), so one cached
+// plan serves concurrent queries. A catalog change bumps the version,
+// which makes every older entry unreachable; stale entries age out
+// through normal LRU eviction.
 type Cache struct {
-	mu   sync.Mutex
-	cap  int
-	lru  *list.List // front = most recent; values are *cacheEntry
+	mu    sync.Mutex
+	cap   int
+	lru   *list.List // front = most recent; values are *cacheEntry
 	byKey map[cacheKey]*list.Element
 
 	hits, misses, evictions int64

@@ -61,49 +61,82 @@ func LowerOpts(root Logical, opts Options) (*Plan, error) {
 	final := lw.finishSegment(phys, nil, prop.gathered)
 	lw.plan.Final = final
 	lw.plan.OutputNames = outputNames(root)
+	inferParamSlots(&lw.plan)
+	ph := lw.plan.placeholders()
 	for _, seg := range lw.plan.Segments {
-		annotateVec(seg.Root)
+		annotateVec(seg.Root, ph)
 	}
-	lw.plan.NumParams = countParams(&lw.plan)
 	return &lw.plan, nil
+}
+
+// placeholders returns a stand-in argument per parameter slot: the
+// zero value of the slot's kind. Kernel selection depends only on
+// operand kinds, so annotating a template with these marks [vec]
+// exactly where its executions (and the literal text it was lifted
+// from) compile fused kernels.
+func (p *Plan) placeholders() []types.Value {
+	if p.NumParams == 0 {
+		return nil
+	}
+	vals := make([]types.Value, p.NumParams)
+	for i := range vals {
+		vals[i] = types.Value{Kind: types.Int64}
+		if p.paramTyped[i] {
+			vals[i].Kind = p.paramKinds[i]
+		}
+	}
+	return vals
+}
+
+// substAll substitutes ph into every expression of a list.
+func substAll(es []expr.Expr, ph []types.Value) []expr.Expr {
+	if ph == nil {
+		return es
+	}
+	out := make([]expr.Expr, len(es))
+	for i, e := range es {
+		out[i] = expr.SubstParams(e, ph)
+	}
+	return out
 }
 
 // annotateVec records, per operator, whether its expression work
 // compiles entirely to fused batch kernels — the vectorization marks
 // Explain output renders as [vec]. Purely informational: the engine
-// compiles its own kernels at iterator construction.
-func annotateVec(op PhysOp) {
+// compiles its own kernels at iterator construction. Parameter slots
+// are judged with the placeholder arguments ph substituted.
+func annotateVec(op PhysOp, ph []types.Value) {
 	switch n := op.(type) {
 	case *PScan:
 		if n.Pred != nil {
-			n.Vectorized = expr.PredVectorized(n.Pred, n.Sch)
+			n.Vectorized = expr.PredVectorized(expr.SubstParams(n.Pred, ph), n.Sch)
 		}
 	case *PFilter:
-		annotateVec(n.Child)
-		n.Vectorized = expr.PredVectorized(n.Pred, n.Child.Schema())
+		annotateVec(n.Child, ph)
+		n.Vectorized = expr.PredVectorized(expr.SubstParams(n.Pred, ph), n.Child.Schema())
 	case *PProject:
-		annotateVec(n.Child)
-		n.Vectorized = expr.ProjVectorized(n.Exprs, n.Child.Schema())
+		annotateVec(n.Child, ph)
+		n.Vectorized = expr.ProjVectorized(substAll(n.Exprs, ph), n.Child.Schema())
 	case *PHashJoin:
-		annotateVec(n.Build)
-		annotateVec(n.Probe)
-		n.VecKeys = expr.NewBatchKeyEncoder(n.BuildKeys, n.Build.Schema()).Vectorized() &&
-			expr.NewBatchKeyEncoder(n.ProbeKeys, n.Probe.Schema()).Vectorized()
+		annotateVec(n.Build, ph)
+		annotateVec(n.Probe, ph)
+		n.VecKeys = expr.NewBatchKeyEncoder(substAll(n.BuildKeys, ph), n.Build.Schema()).Vectorized() &&
+			expr.NewBatchKeyEncoder(substAll(n.ProbeKeys, ph), n.Probe.Schema()).Vectorized()
 	case *PHashAgg:
-		annotateVec(n.Child)
+		annotateVec(n.Child, ph)
 		inSch := n.Child.Schema()
-		n.VecKeys = expr.NewBatchKeyEncoder(n.Keys, inSch).Vectorized()
+		n.VecKeys = expr.NewBatchKeyEncoder(substAll(n.Keys, ph), inSch).Vectorized()
 		for _, s := range n.Specs {
-			if s.Arg != nil && !expr.CompileBatch(s.Arg, inSch).Fused() {
+			if s.Arg != nil && !expr.CompileBatch(expr.SubstParams(s.Arg, ph), inSch).Fused() {
 				n.VecKeys = false
 			}
 		}
 	case *PSort:
-		annotateVec(n.Child)
+		annotateVec(n.Child, ph)
 	case *PTopN:
-		annotateVec(n.Child)
+		annotateVec(n.Child, ph)
 	case *PLimit:
-		annotateVec(n.Child)
+		annotateVec(n.Child, ph)
 	}
 }
 

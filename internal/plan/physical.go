@@ -3,7 +3,6 @@ package plan
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"repro/internal/catalog"
 	"repro/internal/expr"
@@ -164,25 +163,16 @@ type Plan struct {
 	Final *Segment
 	// OutputNames are the result column display names.
 	OutputNames []string
-	// NumParams counts the plan's prepared-statement parameter slots
-	// ($n, so the highest n). A plan with NumParams > 0 is a template:
-	// Bind substitutes constants for the slots before execution, and
-	// the engine refuses to run it unbound.
+	// NumParams counts the plan's parameter slots ($n, so the highest
+	// n). A plan with NumParams > 0 is a template: it executes with
+	// arguments (see CoerceArgs), and is never rewritten for them.
 	NumParams int
 
-	// paramOnce guards the lazily memoized slot-kind inference
-	// (paramKinds/paramTyped): the kinds are a pure function of the
-	// template, so Bind's argument coercion computes them on the first
-	// EXECUTE and reuses them on every subsequent one.
-	paramOnce  sync.Once
+	// paramKinds/paramTyped hold each slot's kind as inferred from its
+	// comparison context at compile time; untyped slots take their
+	// argument's kind as given.
 	paramKinds []types.Kind
 	paramTyped []bool
-
-	// bindPool recycles bound instances of this template between
-	// EXECUTEs (see AcquireBound); bound marks an instance as pooled,
-	// carrying the Const sites to overwrite on reuse.
-	bindPool sync.Pool
-	bound    *boundMeta
 }
 
 // String renders the plan for inspection (the EXPLAIN output).
@@ -203,6 +193,10 @@ type Annotations struct {
 	// Out annotates a segment's output line (its exchange, or the
 	// result collector).
 	Out func(s *Segment) string
+	// Args, when set, are the arguments of the execution being
+	// rendered: expressions show their values in place of $n, as the
+	// literal text they were lifted from would.
+	Args []types.Value
 }
 
 // Render renders the plan with annotations.
@@ -243,12 +237,12 @@ func renderOp(sb *strings.Builder, op PhysOp, depth int, a Annotations) {
 	case *PScan:
 		fmt.Fprintf(sb, "%sscan %s", pad, n.Table.Name)
 		if n.Pred != nil {
-			fmt.Fprintf(sb, " filter %s%s", n.Pred, vecTag(n.Vectorized))
+			fmt.Fprintf(sb, " filter %s%s", expr.SubstParams(n.Pred, a.Args), vecTag(n.Vectorized))
 		}
 		sb.WriteString(tail)
 		sb.WriteByte('\n')
 	case *PFilter:
-		fmt.Fprintf(sb, "%sfilter %s%s%s\n", pad, n.Pred, vecTag(n.Vectorized), tail)
+		fmt.Fprintf(sb, "%sfilter %s%s%s\n", pad, expr.SubstParams(n.Pred, a.Args), vecTag(n.Vectorized), tail)
 		renderOp(sb, n.Child, depth+1, a)
 	case *PProject:
 		fmt.Fprintf(sb, "%sproject (%d exprs)%s%s\n", pad, len(n.Exprs), vecTag(n.Vectorized), tail)

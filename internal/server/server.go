@@ -81,7 +81,7 @@ type waiter struct {
 
 // New wraps a cluster in an admission-controlled front end. The
 // cluster stays usable directly; only queries entering through Query
-// are subject to the admission policy.
+// or Execute are subject to the admission policy.
 func New(c *engine.Cluster, cfg Config) *Server {
 	cfg.defaults()
 	return &Server{c: c, cfg: cfg}
@@ -92,43 +92,38 @@ func (s *Server) Cluster() *engine.Cluster { return s.c }
 
 // CompileCached compiles through the cluster's plan cache. Compilation
 // is not admission-controlled — it holds no execution resources.
-func (s *Server) CompileCached(query string) (*plan.Plan, bool, error) {
+func (s *Server) CompileCached(query string) (*plan.Plan, []types.Value, bool, error) {
 	return s.c.CompileCached(query)
 }
 
 // CatalogVersion reports the served cluster's catalog version.
 func (s *Server) CatalogVersion() int64 { return s.c.CatalogVersion() }
 
-// Query admits and executes one SQL query. It blocks in the admission
-// queue when MaxInflight queries are already executing; ctx
-// cancellation applies both while queued and — routed into the
-// engine's fail-fast teardown — while executing.
+// Query admits and executes one ad-hoc SQL query: CompileCached, then
+// Execute with the arguments lifted from the text's literals.
+func (s *Server) Query(ctx context.Context, sql string) (*engine.Result, error) {
+	p, args, _, err := s.c.CompileCached(sql)
+	if err != nil {
+		return nil, err
+	}
+	return s.Execute(ctx, p, args, sql)
+}
+
+// Execute admits and executes a compiled plan with its arguments. It
+// blocks in the admission queue when MaxInflight queries are already
+// executing; ctx cancellation applies both while queued and — routed
+// into the engine's fail-fast teardown — while executing. sqlText
+// labels telemetry and errors.
 //
 // A memory-budget refusal from the engine is transient — resident
-// queries release their reservations as they complete — so Query holds
-// its slot and retries with exponential backoff until QueueTimeout,
-// turning a thundering herd of large queries into an orderly drain.
-func (s *Server) Query(ctx context.Context, sql string) (*engine.Result, error) {
-	return s.serve(ctx, func(ctx context.Context) (*engine.Result, error) {
-		return s.c.RunContext(ctx, sql)
-	})
-}
-
-// QueryBound admits and executes a prepared plan with bound arguments —
-// Query's EXECUTE twin, under the same admission policy and
-// memory-budget retry loop. sqlText labels telemetry and errors.
-func (s *Server) QueryBound(ctx context.Context, p *plan.Plan, args []types.Value, sqlText string) (*engine.Result, error) {
-	return s.serve(ctx, func(ctx context.Context) (*engine.Result, error) {
-		return s.c.RunBound(ctx, p, args, sqlText)
-	})
-}
-
-// serve runs one admitted query, retrying transient memory-budget
-// refusals with exponential backoff until QueueTimeout. One timer is
-// reused across backoff iterations: a per-iteration time.After would
-// leave every expired-but-unfired timer lingering in the runtime heap
-// for its full duration under a thundering herd of large queries.
-func (s *Server) serve(ctx context.Context, run func(context.Context) (*engine.Result, error)) (*engine.Result, error) {
+// queries release their reservations as they complete — so Execute
+// holds its slot and retries with exponential backoff until
+// QueueTimeout, turning a thundering herd of large queries into an
+// orderly drain. One timer is reused across backoff iterations: a
+// per-iteration time.After would leave every expired-but-unfired timer
+// lingering in the runtime heap for its full duration under a
+// thundering herd of large queries.
+func (s *Server) Execute(ctx context.Context, p *plan.Plan, args []types.Value, sqlText string) (*engine.Result, error) {
 	if err := s.admit(ctx); err != nil {
 		return nil, err
 	}
@@ -137,7 +132,7 @@ func (s *Server) serve(ctx context.Context, run func(context.Context) (*engine.R
 	backoff := 5 * time.Millisecond
 	var timer *time.Timer
 	for {
-		res, err := run(ctx)
+		res, err := s.c.Execute(ctx, p, args, sqlText)
 		if !errors.Is(err, engine.ErrMemoryBudget) {
 			return res, err
 		}

@@ -5,7 +5,7 @@
 // the bare cluster in tests.
 //
 // A prepared statement pins the physical plan compiled from its text,
-// so EXECUTE pays parameter binding and execution only: no lexing, no
+// so EXECUTE pays argument coercion and execution only: no lexing, no
 // parsing, no planning. The pin records the catalog version the plan
 // was compiled against; an EXECUTE that finds the catalog has moved
 // recompiles transparently, so a session can never run a plan against
@@ -30,45 +30,42 @@ import (
 // it directly (admission-controlled serving); Direct adapts a bare
 // *engine.Cluster for tests and embedded use.
 type Backend interface {
-	// CompileCached compiles query, consulting the plan cache; the bool
-	// reports a cache hit.
-	CompileCached(query string) (*plan.Plan, bool, error)
+	// CompileCached compiles query through the plan cache, returning
+	// the plan, the arguments lifted from the text's literals, and
+	// whether the plan was a cache hit.
+	CompileCached(query string) (*plan.Plan, []types.Value, bool, error)
 	// CatalogVersion is the version plans are currently keyed on.
 	CatalogVersion() int64
-	// Query executes ad-hoc SQL.
-	Query(ctx context.Context, sqlText string) (*engine.Result, error)
-	// QueryBound executes a compiled plan with bound arguments.
-	QueryBound(ctx context.Context, p *plan.Plan, args []types.Value, sqlText string) (*engine.Result, error)
+	// Execute runs a compiled plan with arguments: prepared EXECUTEs
+	// and ad-hoc statements alike.
+	Execute(ctx context.Context, p *plan.Plan, args []types.Value, sqlText string) (*engine.Result, error)
 }
 
 // Direct adapts a bare cluster to Backend, bypassing admission.
 type Direct struct{ C *engine.Cluster }
 
 // CompileCached implements Backend.
-func (d Direct) CompileCached(query string) (*plan.Plan, bool, error) {
+func (d Direct) CompileCached(query string) (*plan.Plan, []types.Value, bool, error) {
 	return d.C.CompileCached(query)
 }
 
 // CatalogVersion implements Backend.
 func (d Direct) CatalogVersion() int64 { return d.C.CatalogVersion() }
 
-// Query implements Backend.
-func (d Direct) Query(ctx context.Context, sqlText string) (*engine.Result, error) {
-	return d.C.RunContext(ctx, sqlText)
-}
-
-// QueryBound implements Backend.
-func (d Direct) QueryBound(ctx context.Context, p *plan.Plan, args []types.Value, sqlText string) (*engine.Result, error) {
-	return d.C.RunBound(ctx, p, args, sqlText)
+// Execute implements Backend.
+func (d Direct) Execute(ctx context.Context, p *plan.Plan, args []types.Value, sqlText string) (*engine.Result, error) {
+	return d.C.Execute(ctx, p, args, sqlText)
 }
 
 // prepStmt is one named prepared statement: the plan template pinned
 // at PREPARE time plus the catalog version it was compiled against.
+// A statement written without $n may still compile to a shared
+// template; lifted then holds the literals that fill its slots.
 type prepStmt struct {
-	sqlText   string
-	plan      *plan.Plan
-	version   int64
-	numParams int
+	sqlText string
+	plan    *plan.Plan
+	lifted  []types.Value
+	version int64
 }
 
 // Session is one connection's prepared-statement namespace.
@@ -95,18 +92,27 @@ func (s *Session) Prepared() []string {
 // pins it under name, replacing any previous statement of that name.
 // It returns the statement's parameter count.
 func (s *Session) Prepare(name, sqlText string) (int, error) {
-	p, _, err := s.b.CompileCached(sqlText)
-	if err != nil {
+	st := &prepStmt{sqlText: sqlText}
+	if err := s.compile(st); err != nil {
 		return 0, err
 	}
-	s.prepared[name] = &prepStmt{
-		sqlText:   sqlText,
-		plan:      p,
-		version:   s.b.CatalogVersion(),
-		numParams: p.NumParams,
-	}
-	return p.NumParams, nil
+	s.prepared[name] = st
+	return st.numParams(), nil
 }
+
+// compile (re)pins a statement's plan at the current catalog version.
+func (s *Session) compile(st *prepStmt) error {
+	p, lifted, _, err := s.b.CompileCached(st.sqlText)
+	if err != nil {
+		return err
+	}
+	st.plan, st.lifted, st.version = p, lifted, s.b.CatalogVersion()
+	return nil
+}
+
+// numParams is the statement's parameter count as its text declares
+// it: lifted literals fill slots the caller never sees.
+func (st *prepStmt) numParams() int { return st.plan.NumParams - len(st.lifted) }
 
 // NumParams reports a prepared statement's parameter count.
 func (s *Session) NumParams(name string) (int, error) {
@@ -114,7 +120,7 @@ func (s *Session) NumParams(name string) (int, error) {
 	if !ok {
 		return 0, fmt.Errorf("session: no prepared statement %q", name)
 	}
-	return st.numParams, nil
+	return st.numParams(), nil
 }
 
 // Deallocate drops a prepared statement.
@@ -135,14 +141,18 @@ func (s *Session) Execute(ctx context.Context, name string, args []types.Value) 
 	if !ok {
 		return nil, fmt.Errorf("session: no prepared statement %q", name)
 	}
-	if v := s.b.CatalogVersion(); v != st.version {
-		p, _, err := s.b.CompileCached(st.sqlText)
-		if err != nil {
+	if s.b.CatalogVersion() != st.version {
+		if err := s.compile(st); err != nil {
 			return nil, fmt.Errorf("session: reprepare %q after catalog change: %w", name, err)
 		}
-		st.plan, st.version, st.numParams = p, v, p.NumParams
 	}
-	return s.b.QueryBound(ctx, st.plan, args, st.sqlText)
+	if st.lifted != nil {
+		if len(args) != 0 {
+			return nil, fmt.Errorf("plan: statement takes no parameters, %d given", len(args))
+		}
+		args = st.lifted
+	}
+	return s.b.Execute(ctx, st.plan, args, st.sqlText)
 }
 
 // Exec is the session's text entry point: it dispatches PREPARE /
@@ -151,7 +161,7 @@ func (s *Session) Execute(ctx context.Context, name string, args []types.Value) 
 // error reports a statement with no result set (PREPARE, DEALLOCATE).
 func (s *Session) Exec(ctx context.Context, sqlText string) (*engine.Result, error) {
 	if !isSessionStmt(sqlText) {
-		return s.b.Query(ctx, sqlText)
+		return s.query(ctx, sqlText)
 	}
 	stmt, err := sql.ParseStatement(sqlText)
 	if err != nil {
@@ -178,7 +188,17 @@ func (s *Session) Exec(ctx context.Context, sqlText string) (*engine.Result, err
 	}
 	// ParseStatement handed back a plain SELECT despite the keyword
 	// sniff; run it ad hoc.
-	return s.b.Query(ctx, sqlText)
+	return s.query(ctx, sqlText)
+}
+
+// query runs ad-hoc SQL: compiled through the plan cache, executed
+// with the arguments lifted from its literals.
+func (s *Session) query(ctx context.Context, sqlText string) (*engine.Result, error) {
+	p, args, _, err := s.b.CompileCached(sqlText)
+	if err != nil {
+		return nil, err
+	}
+	return s.b.Execute(ctx, p, args, sqlText)
 }
 
 // isSessionStmt sniffs the leading keyword so plain SELECTs skip the

@@ -19,7 +19,7 @@ type countingBackend struct {
 	compiles int
 }
 
-func (b *countingBackend) CompileCached(q string) (*plan.Plan, bool, error) {
+func (b *countingBackend) CompileCached(q string) (*plan.Plan, []types.Value, bool, error) {
 	b.compiles++
 	return b.Direct.CompileCached(q)
 }
@@ -194,5 +194,51 @@ func TestIsSessionStmt(t *testing.T) {
 		if got := isSessionStmt(tc.in); got != tc.want {
 			t.Errorf("isSessionStmt(%q) = %v, want %v", tc.in, got, tc.want)
 		}
+	}
+}
+
+// TestAdHocSharesPreparedTemplate: ad-hoc text of a prepared shape
+// runs the prepared statement's cached template, and PREPARE of text
+// without $n pins the template with its literals as the arguments.
+func TestAdHocSharesPreparedTemplate(t *testing.T) {
+	s, b, _ := fixture(t)
+	ctx := context.Background()
+	if _, err := s.Exec(ctx, "PREPARE lk AS SELECT acct_id FROM trades WHERE sec_code = $1"); err != nil {
+		t.Fatal(err)
+	}
+	exec, err := s.Exec(ctx, "EXECUTE lk (4)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	adhoc, err := s.Exec(ctx, "SELECT acct_id FROM trades WHERE sec_code = 4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if er, ar := rowsOf(t, exec), rowsOf(t, adhoc); er != ar || exec.NumRows() == 0 {
+		t.Fatalf("EXECUTE and ad-hoc differ:\n%s\nvs\n%s", er, ar)
+	}
+	if st := b.C.PlanCacheStats(); st.Entries != 1 || st.Hits != 1 {
+		t.Fatalf("cache %+v: ad-hoc text did not hit the prepared template", st)
+	}
+
+	if _, err := s.Prepare("lit", "SELECT acct_id FROM trades WHERE sec_code = 5"); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := s.NumParams("lit"); err != nil || n != 0 {
+		t.Fatalf("NumParams(lit) = %d, %v; want 0", n, err)
+	}
+	lit, err := s.Execute(ctx, "lit", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := s.Exec(ctx, "EXECUTE lk (5)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lr, rr := rowsOf(t, lit), rowsOf(t, ref); lr != rr {
+		t.Fatalf("literal PREPARE differs from EXECUTE lk (5):\n%s\nvs\n%s", lr, rr)
+	}
+	if _, err := s.Execute(ctx, "lit", []types.Value{types.IntVal(1)}); err == nil {
+		t.Error("arguments for a statement without parameters: want error")
 	}
 }

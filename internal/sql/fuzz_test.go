@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 	"unicode/utf8"
@@ -104,6 +105,70 @@ func FuzzLex(f *testing.F) {
 			}
 			if !strings.Contains(input, tok.text) && !strings.Contains(strings.ToLower(input), strings.ToLower(tok.text)) {
 				t.Fatalf("lex(%q) produced token %q not present in input", input, tok.text)
+			}
+		}
+	})
+}
+
+// FuzzParameterize checks the plan cache's literal lifting against
+// Normalize: substituting the lifted literals back into the template
+// reproduces Normalize's output, each lifted value is the one its
+// literal token denotes, and whenever the literal text parses, the
+// template parses too.
+func FuzzParameterize(f *testing.F) {
+	for _, s := range fuzzSeeds {
+		f.Add(s)
+	}
+	f.Add("SELECT a FROM t WHERE a BETWEEN 1 AND 'x' AND b <> 2.5 AND c >= 'it''s'")
+	f.Add("SELECT a FROM (SELECT b a FROM t WHERE b > 3) s WHERE a = 4 ORDER BY a LIMIT 2")
+	f.Fuzz(func(t *testing.T, input string) {
+		l, err := Parameterize(input)
+		norm, nerr := Normalize(input)
+		if (err == nil) != (nerr == nil) {
+			t.Fatalf("Parameterize err %v, Normalize err %v", err, nerr)
+		}
+		if err != nil {
+			return
+		}
+		if len(l.Args) == 0 {
+			if l.Template != norm || l.Key != norm {
+				t.Fatalf("nothing lifted, yet template %q / key %q != normalized %q", l.Template, l.Key, norm)
+			}
+		} else {
+			// The template re-lexes token for token against the input;
+			// put each lifted literal's token back in its slot.
+			in, _ := lex(input)
+			tmpl, err := lex(l.Template)
+			if err != nil || len(tmpl) != len(in) {
+				t.Fatalf("template %q does not re-lex against the input (%v)", l.Template, err)
+			}
+			toks := make([]token, len(tmpl))
+			slots := 0
+			for i, tk := range tmpl {
+				toks[i] = tk
+				if tk.kind != tokParam {
+					continue
+				}
+				n, err := strconv.Atoi(tk.text)
+				if err != nil || n < 1 || n > len(l.Args) {
+					t.Fatalf("template %q has slot $%s for %d args", l.Template, tk.text, len(l.Args))
+				}
+				if v, _ := literalValue(in[i]); v != l.Args[n-1] {
+					t.Fatalf("$%d holds %v, its literal %q denotes %v", n, l.Args[n-1], in[i].text, v)
+				}
+				toks[i] = in[i]
+				slots++
+			}
+			if slots != len(l.Args) {
+				t.Fatalf("template %q has %d slots for %d args", l.Template, slots, len(l.Args))
+			}
+			if got := render(toks, nil).Template; got != norm {
+				t.Fatalf("substituted template %q != normalized %q", got, norm)
+			}
+		}
+		if _, err := Parse(input); err == nil {
+			if _, err := Parse(l.Template); err != nil {
+				t.Fatalf("%q parses but its template %q does not: %v", input, l.Template, err)
 			}
 		}
 	})

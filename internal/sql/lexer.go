@@ -25,6 +25,22 @@ type token struct {
 	pos  int
 }
 
+// lowerASCII folds A-Z to a-z and leaves every other byte alone, so
+// normalized text re-lexes token for token (full Unicode folding can
+// produce bytes the lexer rejects, or U+FFFD for invalid UTF-8).
+func lowerASCII(s string) string {
+	if strings.IndexAny(s, "ABCDEFGHIJKLMNOPQRSTUVWXYZ") < 0 {
+		return s
+	}
+	b := []byte(s)
+	for i, c := range b {
+		if 'A' <= c && c <= 'Z' {
+			b[i] = c + 'a' - 'A'
+		}
+	}
+	return string(b)
+}
+
 // lex tokenizes SQL input.
 func lex(input string) ([]token, error) {
 	var toks []token
@@ -44,7 +60,7 @@ func lex(input string) ([]token, error) {
 			for i < n && (unicode.IsLetter(rune(input[i])) || unicode.IsDigit(rune(input[i])) || input[i] == '_') {
 				i++
 			}
-			toks = append(toks, token{tokIdent, strings.ToLower(input[start:i]), start})
+			toks = append(toks, token{tokIdent, lowerASCII(input[start:i]), start})
 		case unicode.IsDigit(rune(c)):
 			start := i
 			seenDot := false

@@ -179,6 +179,10 @@ const (
 	// CtrNetCorruptDropped counts frames the receiver rejected on a
 	// checksum mismatch.
 	CtrNetCorruptDropped = "net.corrupt_dropped"
+	// CtrNetStrayDropped counts frames a TCP node discarded because
+	// their exchange was not registered there (process-cumulative,
+	// on the registry).
+	CtrNetStrayDropped = "net.stray_dropped"
 	// CtrRecoverExpands counts dead worker pools re-expanded on
 	// surviving workers by the engine's recovery watchdog.
 	CtrRecoverExpands = "recover.expands"
