@@ -107,6 +107,50 @@ func (v *Vec) AsFloat(i int) float64 {
 	return float64(v.I[i])
 }
 
+// floats returns the first n entries as float64 (Value.AsFloat). An
+// integral vector converts into its otherwise unused F payload, so a
+// scratch vector's kernel loops index a plain []float64.
+func (v *Vec) floats(n int) []float64 {
+	if v.Kind == types.Float64 {
+		return v.F[:n]
+	}
+	if cap(v.F) < n {
+		v.F = make([]float64, n)
+	}
+	f := v.F[:n]
+	for i, x := range v.I[:n] {
+		f[i] = float64(x)
+	}
+	return f
+}
+
+// ints returns the first n entries as int64 (Value.AsInt, truncating
+// floats into the otherwise unused I payload).
+func (v *Vec) ints(n int) []int64 {
+	if v.Kind != types.Float64 {
+		return v.I[:n]
+	}
+	if cap(v.I) < n {
+		v.I = make([]int64, n)
+	}
+	x := v.I[:n]
+	for i, f := range v.F[:n] {
+		x[i] = int64(f)
+	}
+	return x
+}
+
+// orNulls marks out NULL wherever l or r is (out comes cleared from
+// alloc), the NULL-in → NULL-out rule of binary kernels.
+func orNulls(out, l, r []bool) {
+	l, r = l[:len(out)], r[:len(out)]
+	for i := range out {
+		if l[i] || r[i] {
+			out[i] = true
+		}
+	}
+}
+
 // vecPool recycles scratch vectors across kernel invocations.
 var vecPool = sync.Pool{New: func() any { return new(Vec) }}
 
@@ -142,8 +186,7 @@ func CompileBatch(e Expr, sch *types.Schema) BatchExpr {
 		l, r := CompileBatch(n.L, sch), CompileBatch(n.R, sch)
 		lk, rk := n.L.Kind(sch), n.R.Kind(sch)
 		if l.Fused() && r.Fused() && numericOrDate(lk) && numericOrDate(rk) {
-			return &arithKernel{op: n.Op, l: l, r: r,
-				outKind: n.Kind(sch), lKind: lk, rKind: rk}
+			return &arithKernel{op: n.Op, l: l, r: r, outKind: n.Kind(sch)}
 		}
 		return &rowKernel{e: e, sch: sch, kind: e.Kind(sch)}
 	case *Cmp:
@@ -261,13 +304,14 @@ func (k *constKernel) EvalVec(b *block.Block, sel []int32, out *Vec) {
 }
 
 // arithKernel is vectorized Arith.Eval over numeric/date children. The
-// output kind is static (Arith.Kind), so each instance runs exactly one
-// of three loops: date shift, integral, or float (with x/0 → NULL).
+// output kind is static (Arith.Kind), so each instance runs one of two
+// families: integral (date ± integer days included) or float (with
+// x/0 → NULL). The operator picks one loop per block; no loop switches
+// per row.
 type arithKernel struct {
-	op           ArithOp
-	l, r         BatchExpr
-	outKind      types.Kind
-	lKind, rKind types.Kind
+	op      ArithOp
+	l, r    BatchExpr
+	outKind types.Kind
 }
 
 func (k *arithKernel) Fused() bool { return true }
@@ -280,61 +324,54 @@ func (k *arithKernel) EvalVec(b *block.Block, sel []int32, out *Vec) {
 	k.r.EvalVec(b, sel, rv)
 	n := selCount(b, sel)
 	out.alloc(k.outKind, n)
+	orNulls(out.Null, lv.Null, rv.Null)
 	switch k.outKind {
-	case types.Date: // date ± integer days
-		for i := 0; i < n; i++ {
-			if lv.Null[i] || rv.Null[i] {
-				out.Null[i] = true
-				continue
+	case types.Int64, types.Date: // int op int (op != Div), or date ± days
+		l, r, o := lv.I[:n], rv.ints(n), out.I[:n]
+		switch k.op {
+		case Add:
+			for i := range o {
+				o[i] = l[i] + r[i]
 			}
-			if k.op == Add {
-				out.I[i] = lv.I[i] + rv.AsInt(i)
-			} else {
-				out.I[i] = lv.I[i] - rv.AsInt(i)
+		case Sub:
+			for i := range o {
+				o[i] = l[i] - r[i]
 			}
-		}
-	case types.Int64: // int op int, op != Div
-		for i := 0; i < n; i++ {
-			if lv.Null[i] || rv.Null[i] {
-				out.Null[i] = true
-				continue
-			}
-			switch k.op {
-			case Add:
-				out.I[i] = lv.I[i] + rv.I[i]
-			case Sub:
-				out.I[i] = lv.I[i] - rv.I[i]
-			case Mul:
-				out.I[i] = lv.I[i] * rv.I[i]
+		case Mul:
+			for i := range o {
+				o[i] = l[i] * r[i]
 			}
 		}
 	default: // float
-		for i := 0; i < n; i++ {
-			if lv.Null[i] || rv.Null[i] {
-				out.Null[i] = true
-				continue
+		l, r, o := lv.floats(n), rv.floats(n), out.F[:n]
+		switch k.op {
+		case Add:
+			for i := range o {
+				o[i] = l[i] + r[i]
 			}
-			lf, rf := lv.AsFloat(i), rv.AsFloat(i)
-			switch k.op {
-			case Add:
-				out.F[i] = lf + rf
-			case Sub:
-				out.F[i] = lf - rf
-			case Mul:
-				out.F[i] = lf * rf
-			default:
-				if rf == 0 {
+		case Sub:
+			for i := range o {
+				o[i] = l[i] - r[i]
+			}
+		case Mul:
+			for i := range o {
+				o[i] = l[i] * r[i]
+			}
+		default:
+			for i := range o {
+				if r[i] == 0 {
 					out.Null[i] = true
 					continue
 				}
-				out.F[i] = lf / rf
+				o[i] = l[i] / r[i]
 			}
 		}
 	}
 }
 
 // cmpKernel is vectorized Cmp.Eval over numeric/date children, yielding
-// the boolean Int64 0/1 vector (NULL-in → NULL-out).
+// the boolean Int64 0/1 vector (NULL-in → NULL-out). The operator is
+// a result mask (cmpMask), so both loops are free of per-row switches.
 type cmpKernel struct {
 	op   CmpOp
 	l, r BatchExpr
@@ -351,50 +388,18 @@ func (k *cmpKernel) EvalVec(b *block.Block, sel []int32, out *Vec) {
 	k.r.EvalVec(b, sel, rv)
 	n := selCount(b, sel)
 	out.alloc(types.Int64, n)
-	for i := 0; i < n; i++ {
-		if lv.Null[i] || rv.Null[i] {
-			out.Null[i] = true
-			continue
+	mask, o := cmpMask(k.op), out.I[:n]
+	orNulls(out.Null, lv.Null, rv.Null)
+	if k.flt {
+		l, r := lv.floats(n), rv.floats(n)
+		for i := range o {
+			o[i] = int64(maskBit(mask, l[i] < r[i], l[i] > r[i]))
 		}
-		var d int
-		if k.flt {
-			lf, rf := lv.AsFloat(i), rv.AsFloat(i)
-			switch {
-			case lf < rf:
-				d = -1
-			case lf > rf:
-				d = 1
-			}
-		} else {
-			switch {
-			case lv.I[i] < rv.I[i]:
-				d = -1
-			case lv.I[i] > rv.I[i]:
-				d = 1
-			}
-		}
-		if cmpHolds(k.op, d) {
-			out.I[i] = 1
-		} else {
-			out.I[i] = 0
-		}
+		return
 	}
-}
-
-func cmpHolds(op CmpOp, d int) bool {
-	switch op {
-	case EQ:
-		return d == 0
-	case NE:
-		return d != 0
-	case LT:
-		return d < 0
-	case LE:
-		return d <= 0
-	case GT:
-		return d > 0
-	default:
-		return d >= 0
+	l, r := lv.I[:n], rv.I[:n]
+	for i := range o {
+		o[i] = int64(maskBit(mask, l[i] < r[i], l[i] > r[i]))
 	}
 }
 

@@ -183,3 +183,57 @@ func BenchmarkProjectionBatch(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.N)*benchRows/b.Elapsed().Seconds(), "tuples/s")
 }
+
+// selectShapes names one predicate per fused selection-kernel family,
+// each keeping roughly half of the benchmark block's rows where the
+// column's distribution allows it.
+func selectShapes(sch *types.Schema) []struct {
+	name string
+	pred Expr
+} {
+	a, b, f, g := col(sch, "a"), col(sch, "b"), col(sch, "f"), col(sch, "g")
+	d, s := col(sch, "d"), col(sch, "s")
+	ic := func(v int64) Expr { return NewConst(types.IntVal(v)) }
+	fc := func(v float64) Expr { return NewConst(types.FloatVal(v)) }
+	return []struct {
+		name string
+		pred Expr
+	}{
+		{"cmp_int_const", NewCmp(LT, a, ic(0))},
+		{"cmp_date_const", NewCmp(GE, d, NewConst(types.DateVal(14400)))},
+		{"cmp_float_const", NewCmp(LT, f, fc(0))},
+		{"cmp_intcol_float_const", NewCmp(LE, a, fc(-0.5))},
+		{"cmp_str_const", NewCmp(LT, s, NewConst(types.StrVal("b")))},
+		{"cmp_col_col_int", NewCmp(GT, a, b)},
+		{"cmp_col_col_float", NewCmp(LT, f, g)},
+		{"between_int", NewBetween(a, ic(-25), ic(24))},
+		{"between_float", NewBetween(f, fc(-12.5), fc(12.5))},
+		{"in_int", NewIn(a, []types.Value{types.IntVal(-40), types.IntVal(-20),
+			types.IntVal(0), types.IntVal(20), types.IntVal(40)})},
+		{"like", NewLike(s, "%a%", false)},
+		{"and_narrow", NewAnd(NewCmp(LT, a, ic(25)), NewCmp(GE, b, ic(2)),
+			NewCmp(NE, f, fc(0)))},
+	}
+}
+
+// BenchmarkSelectShapes runs every fused selection kernel over one
+// 4096-row block in append-scan mode (and_narrow adds the in-place
+// narrowing mode behind its first conjunct).
+func BenchmarkSelectShapes(b *testing.B) {
+	sch := batchTestSchema()
+	blk := fillBatchBlock(sch, benchRows, 99)
+	for _, sh := range selectShapes(sch) {
+		b.Run(sh.name, func(b *testing.B) {
+			bp := CompilePredicate(sh.pred, sch)
+			if !bp.Fused() {
+				b.Fatalf("%s did not fuse", sh.pred)
+			}
+			sel := make([]int32, 0, benchRows)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sel = bp.Select(blk, nil, sel[:0])
+			}
+			b.ReportMetric(float64(b.N)*benchRows/b.Elapsed().Seconds(), "tuples/s")
+		})
+	}
+}

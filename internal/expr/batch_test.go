@@ -3,6 +3,7 @@ package expr
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -190,6 +191,52 @@ func TestCompilePredicateMatchesEval(t *testing.T) {
 		narrowed := p.Select(blk, evens, nil)
 		if !equalSel(narrowed, wantEven) {
 			t.Fatalf("case %d (%s): narrowed = %v, want %v", ci, e, narrowed, wantEven)
+		}
+	}
+}
+
+// TestSelectEdgeSemantics pins two verdicts of the row evaluator that
+// fused kernels must reproduce: NaN compares equal to every value
+// (Value.Compare), and an integer column BETWEEN an integer and a float
+// bound compares against the integer bound exactly, not as float64.
+func TestSelectEdgeSemantics(t *testing.T) {
+	sch := types.NewSchema(types.Col("i", types.Int64), types.Col("f", types.Float64))
+	blk := block.New(sch, 8*sch.Stride(), nil)
+	for _, r := range []struct {
+		i int64
+		f float64
+	}{{math.MaxInt64, math.NaN()}, {math.MaxInt64 - 1, 1}, {0, math.Copysign(0, -1)}, {1, math.Inf(1)}} {
+		rec := blk.AppendRowTo()
+		types.PutValue(rec, sch, 0, types.IntVal(r.i))
+		types.PutValue(rec, sch, 1, types.FloatVal(r.f))
+	}
+	i, f := col(sch, "i"), col(sch, "f")
+	fc := func(v float64) Expr { return NewConst(types.FloatVal(v)) }
+	var preds []Expr
+	for op := EQ; op <= GE; op++ {
+		preds = append(preds, NewCmp(op, f, fc(1)), NewCmp(op, f, fc(math.NaN())),
+			NewCmp(op, fc(0), f), NewCmp(op, f, NewConst(types.IntVal(0))),
+			NewCmp(op, i, f), NewCmp(op, f, f))
+	}
+	preds = append(preds,
+		NewBetween(f, fc(0), fc(2)),
+		NewBetween(f, fc(2), fc(0)),
+		NewBetween(i, fc(math.NaN()), NewConst(types.IntVal(math.MaxInt64-1))),
+		NewBetween(i, NewConst(types.IntVal(math.MaxInt64-1)), fc(math.Inf(1))),
+		NewBetween(i, NewConst(types.IntVal(5)), NewConst(types.IntVal(1))))
+	for _, e := range preds {
+		p := CompilePredicate(e, sch)
+		if !p.Fused() {
+			t.Fatalf("%s did not fuse", e)
+		}
+		var want []int32
+		for r := 0; r < blk.NumTuples(); r++ {
+			if Truthy(e.Eval(blk.Row(r), sch)) {
+				want = append(want, int32(r))
+			}
+		}
+		if got := p.Select(blk, nil, nil); !equalSel(got, want) {
+			t.Errorf("%s: Select = %v, row Eval keeps %v", e, got, want)
 		}
 	}
 }

@@ -7,6 +7,7 @@ package expr
 
 import (
 	"bytes"
+	"math"
 
 	"repro/internal/block"
 	"repro/internal/types"
@@ -73,30 +74,83 @@ func PredVectorized(e Expr, sch *types.Schema) bool {
 	return CompilePredicate(e, sch).Fused()
 }
 
-// selFilter runs the shared selection-vector scaffolding around a
-// per-row verdict: append-scan when sel is nil, in-place narrowing
-// otherwise.
-func selFilter(b *block.Block, sel []int32, buf []int32, keep func(rec []byte) bool) []int32 {
-	st := b.Schema().Stride()
-	payload := b.Bytes()
-	if sel == nil {
-		out := buf[:0]
-		n := b.NumTuples()
-		for i := 0; i < n; i++ {
-			if keep(payload[i*st : i*st+st]) {
-				out = append(out, int32(i))
-			}
-		}
-		return out
+// Fused kernel loop shape. The operator is resolved when the predicate
+// compiles — into a range, a negation flag or a bit mask — so the
+// per-row loop holds no switch and no call: it decodes the field,
+// stores the row index unconditionally and advances the write index by
+// the 0/1 verdict, which also keeps a 50%-selective filter free of
+// branch mispredictions. Each kernel writes its loop twice, once per
+// Select mode: an append-scan over every row (into a buffer sized for
+// all of them) and an in-place narrowing of sel.
+
+// b2i is the 0/1 verdict; the compiler lowers it to a flag move.
+func b2i(b bool) int {
+	if b {
+		return 1
 	}
-	w := 0
-	for _, i := range sel {
-		if keep(payload[int(i)*st : int(i)*st+st]) {
-			sel[w] = i
-			w++
-		}
+	return 0
+}
+
+// scanBuf returns buf with room for all n rows of an append-scan.
+func scanBuf(buf []int32, n int) []int32 {
+	if cap(buf) < n {
+		return make([]int32, n)
 	}
-	return sel[:w]
+	return buf[:n]
+}
+
+// cmpMask encodes an operator as the set of three-way comparison
+// results it accepts: bit d+1 is set when d (-1, 0 or 1) qualifies.
+func cmpMask(op CmpOp) uint {
+	switch op {
+	case EQ:
+		return 0b010
+	case NE:
+		return 0b101
+	case LT:
+		return 0b001
+	case LE:
+		return 0b011
+	case GT:
+		return 0b100
+	default:
+		return 0b110
+	}
+}
+
+// maskBit reports (as 0/1) whether mask accepts the three-way
+// comparison described by lt and gt — neither set compares equal, as
+// Value.Compare treats NaN.
+func maskBit(mask uint, lt, gt bool) int {
+	return int(mask>>uint(1+b2i(gt)-b2i(lt))) & 1
+}
+
+// opRange rewrites "x op c" as "x in [lo, hi]", negated when neg is
+// set, with least and most the domain's extremes. No bound is computed
+// from c, so the rewrite cannot overflow.
+func opRange[T int64 | float64](op CmpOp, c, least, most T) (lo, hi T, neg bool) {
+	switch op {
+	case EQ:
+		return c, c, false
+	case NE:
+		return c, c, true
+	case LT:
+		return c, most, true
+	case LE:
+		return least, c, false
+	case GT:
+		return least, c, true
+	default:
+		return c, most, false
+	}
+}
+
+// getNum decodes a numeric field as float64, as Value.AsFloat does.
+func getNum(rec []byte, off int, isInt bool) float64 {
+	if isInt {
+		return float64(types.GetInt(rec, off))
+	}
+	return types.GetFloat(rec, off)
 }
 
 // --- fused comparison shapes -----------------------------------------------
@@ -150,18 +204,21 @@ func colConstCmp(op CmpOp, sch *types.Schema, c *Col, v types.Value) BatchPredic
 	case types.Int64, types.Date:
 		if v.Kind == types.Float64 {
 			// Mixed int/float compares as float (Value.Compare).
-			return &cmpFloatConstPred{off: off, op: op, c: v.F, colInt: true}
+			lo, hi, neg := opRange(op, v.F, math.Inf(-1), math.Inf(1))
+			return &floatRangePred{off: off, lo: lo, hi: hi, neg: neg, colInt: true}
 		}
 		if v.Kind == types.Int64 || v.Kind == types.Date {
-			return &cmpIntConstPred{off: off, op: op, c: v.I}
+			lo, hi, neg := opRange(op, v.I, math.MinInt64, math.MaxInt64)
+			return newIntRange(off, lo, hi, neg)
 		}
 	case types.Float64:
 		if v.Kind.Numeric() || v.Kind == types.Date {
-			return &cmpFloatConstPred{off: off, op: op, c: v.AsFloat()}
+			lo, hi, neg := opRange(op, v.AsFloat(), math.Inf(-1), math.Inf(1))
+			return &floatRangePred{off: off, lo: lo, hi: hi, neg: neg}
 		}
 	case types.String:
 		if v.Kind == types.String {
-			return &cmpStrConstPred{off: off, width: col.Width, op: op, c: []byte(v.S)}
+			return &cmpStrConstPred{off: off, width: col.Width, mask: cmpMask(op), c: []byte(v.S)}
 		}
 	}
 	return nil
@@ -173,99 +230,128 @@ func colColCmp(op CmpOp, sch *types.Schema, l, r *Col) BatchPredicate {
 		return nil
 	}
 	return &cmpColColPred{
-		lOff: sch.Offset(l.Idx), rOff: sch.Offset(r.Idx), op: op,
+		lOff: sch.Offset(l.Idx), rOff: sch.Offset(r.Idx), mask: cmpMask(op),
 		flt:  lk == types.Float64 || rk == types.Float64,
 		lInt: lk != types.Float64, rInt: rk != types.Float64,
 	}
 }
 
-// cmpIntConstPred: Int64/Date column op integer constant.
-type cmpIntConstPred struct {
-	off int
-	op  CmpOp
-	c   int64
+// intRangePred keeps Int64/Date rows with lo <= x <= hi (outside the
+// range when neg is set): every integer comparison with a constant and
+// every integer BETWEEN. One unsigned compare tests both bounds.
+type intRangePred struct {
+	off  int
+	lo   int64
+	span uint64 // hi - lo
+	neg  bool
 }
 
-func (p *cmpIntConstPred) Fused() bool { return true }
+// newIntRange builds the range kernel; an empty range (lo > hi) becomes
+// the negation of the full range, so it still needs no special loop.
+func newIntRange(off int, lo, hi int64, neg bool) *intRangePred {
+	if lo > hi {
+		return &intRangePred{off: off, lo: math.MinInt64, span: math.MaxUint64, neg: !neg}
+	}
+	return &intRangePred{off: off, lo: lo, span: uint64(hi - lo), neg: neg}
+}
 
-func (p *cmpIntConstPred) Select(b *block.Block, sel []int32, buf []int32) []int32 {
-	off, c, op := p.off, p.c, p.op
-	return selFilter(b, sel, buf, func(rec []byte) bool {
-		x := types.GetInt(rec, off)
-		switch op {
-		case EQ:
-			return x == c
-		case NE:
-			return x != c
-		case LT:
-			return x < c
-		case LE:
-			return x <= c
-		case GT:
-			return x > c
-		default:
-			return x >= c
+func (p *intRangePred) Fused() bool { return true }
+
+func (p *intRangePred) Select(b *block.Block, sel []int32, buf []int32) []int32 {
+	off, lo, span, flip := p.off, p.lo, p.span, b2i(p.neg)
+	st, payload := b.Schema().Stride(), b.Bytes()
+	w := 0
+	if sel == nil {
+		n := b.NumTuples()
+		out := scanBuf(buf, n)
+		for i, pos := 0, off; i < n; i, pos = i+1, pos+st {
+			x := types.GetInt(payload, pos)
+			out[w] = int32(i)
+			w += b2i(uint64(x-lo) <= span) ^ flip
 		}
-	})
+		return out[:w]
+	}
+	for _, i := range sel {
+		x := types.GetInt(payload, int(i)*st+off)
+		sel[w] = i
+		w += b2i(uint64(x-lo) <= span) ^ flip
+	}
+	return sel[:w]
 }
 
-// cmpFloatConstPred: Float64 (or int-as-float) column op numeric constant.
-type cmpFloatConstPred struct {
+// floatRangePred keeps rows whose value, read as float64, is neither
+// below lo nor above hi (the complement when neg is set): every float
+// or mixed int/float comparison with a constant and every float
+// BETWEEN. "Neither below nor above" is Value.Compare's verdict, under
+// which NaN compares equal to everything.
+type floatRangePred struct {
 	off    int
-	op     CmpOp
-	c      float64
+	lo, hi float64
+	neg    bool
 	colInt bool // decode the column as int64, compare as float
 }
 
-func (p *cmpFloatConstPred) Fused() bool { return true }
+func (p *floatRangePred) Fused() bool { return true }
 
-func (p *cmpFloatConstPred) Select(b *block.Block, sel []int32, buf []int32) []int32 {
-	off, c, op, colInt := p.off, p.c, p.op, p.colInt
-	return selFilter(b, sel, buf, func(rec []byte) bool {
-		var x float64
-		if colInt {
-			x = float64(types.GetInt(rec, off))
-		} else {
-			x = types.GetFloat(rec, off)
+func (p *floatRangePred) Select(b *block.Block, sel []int32, buf []int32) []int32 {
+	off, lo, hi, colInt := p.off, p.lo, p.hi, p.colInt
+	in := b2i(!p.neg)
+	st, payload := b.Schema().Stride(), b.Bytes()
+	w := 0
+	if sel == nil {
+		n := b.NumTuples()
+		out := scanBuf(buf, n)
+		for i, pos := 0, off; i < n; i, pos = i+1, pos+st {
+			x := getNum(payload, pos, colInt)
+			out[w] = int32(i)
+			w += (b2i(x < lo) | b2i(x > hi)) ^ in
 		}
-		switch op {
-		case EQ:
-			return x == c
-		case NE:
-			return x != c
-		case LT:
-			return x < c
-		case LE:
-			return x <= c
-		case GT:
-			return x > c
-		default:
-			return x >= c
-		}
-	})
+		return out[:w]
+	}
+	for _, i := range sel {
+		x := getNum(payload, int(i)*st+off, colInt)
+		sel[w] = i
+		w += (b2i(x < lo) | b2i(x > hi)) ^ in
+	}
+	return sel[:w]
 }
 
 // cmpStrConstPred: CHAR column op string constant, compared on the
 // NUL-trimmed bytes — no per-row string allocation.
 type cmpStrConstPred struct {
 	off, width int
-	op         CmpOp
+	mask       uint
 	c          []byte
 }
 
 func (p *cmpStrConstPred) Fused() bool { return true }
 
 func (p *cmpStrConstPred) Select(b *block.Block, sel []int32, buf []int32) []int32 {
-	return selFilter(b, sel, buf, func(rec []byte) bool {
-		d := bytes.Compare(types.GetStringBytes(rec, p.off, p.width), p.c)
-		return cmpHolds(p.op, d)
-	})
+	off, width, mask, c := p.off, p.width, p.mask, p.c
+	st, payload := b.Schema().Stride(), b.Bytes()
+	w := 0
+	if sel == nil {
+		n := b.NumTuples()
+		out := scanBuf(buf, n)
+		for i, pos := 0, off; i < n; i, pos = i+1, pos+st {
+			d := bytes.Compare(types.GetStringBytes(payload, pos, width), c)
+			out[w] = int32(i)
+			w += int(mask>>uint(d+1)) & 1
+		}
+		return out[:w]
+	}
+	for _, i := range sel {
+		d := bytes.Compare(types.GetStringBytes(payload, int(i)*st+off, width), c)
+		sel[w] = i
+		w += int(mask>>uint(d+1)) & 1
+	}
+	return sel[:w]
 }
 
 // cmpColColPred: numeric/date column op numeric/date column.
 type cmpColColPred struct {
 	lOff, rOff int
-	op         CmpOp
+	mask       uint
 	flt        bool // compare as floats
 	lInt, rInt bool // decode sides as int64
 }
@@ -273,38 +359,52 @@ type cmpColColPred struct {
 func (p *cmpColColPred) Fused() bool { return true }
 
 func (p *cmpColColPred) Select(b *block.Block, sel []int32, buf []int32) []int32 {
-	return selFilter(b, sel, buf, func(rec []byte) bool {
-		if !p.flt {
-			l, r := types.GetInt(rec, p.lOff), types.GetInt(rec, p.rOff)
-			var d int
-			switch {
-			case l < r:
-				d = -1
-			case l > r:
-				d = 1
-			}
-			return cmpHolds(p.op, d)
+	if p.flt {
+		return p.selectFloat(b, sel, buf)
+	}
+	lOff, rOff, mask := p.lOff, p.rOff, p.mask
+	st, payload := b.Schema().Stride(), b.Bytes()
+	w := 0
+	if sel == nil {
+		n := b.NumTuples()
+		out := scanBuf(buf, n)
+		for i, row := 0, 0; i < n; i, row = i+1, row+st {
+			l, r := types.GetInt(payload, row+lOff), types.GetInt(payload, row+rOff)
+			out[w] = int32(i)
+			w += maskBit(mask, l < r, l > r)
 		}
-		var l, r float64
-		if p.lInt {
-			l = float64(types.GetInt(rec, p.lOff))
-		} else {
-			l = types.GetFloat(rec, p.lOff)
+		return out[:w]
+	}
+	for _, i := range sel {
+		row := int(i) * st
+		l, r := types.GetInt(payload, row+lOff), types.GetInt(payload, row+rOff)
+		sel[w] = i
+		w += maskBit(mask, l < r, l > r)
+	}
+	return sel[:w]
+}
+
+func (p *cmpColColPred) selectFloat(b *block.Block, sel []int32, buf []int32) []int32 {
+	lOff, rOff, mask, lInt, rInt := p.lOff, p.rOff, p.mask, p.lInt, p.rInt
+	st, payload := b.Schema().Stride(), b.Bytes()
+	w := 0
+	if sel == nil {
+		n := b.NumTuples()
+		out := scanBuf(buf, n)
+		for i, row := 0, 0; i < n; i, row = i+1, row+st {
+			l, r := getNum(payload, row+lOff, lInt), getNum(payload, row+rOff, rInt)
+			out[w] = int32(i)
+			w += maskBit(mask, l < r, l > r)
 		}
-		if p.rInt {
-			r = float64(types.GetInt(rec, p.rOff))
-		} else {
-			r = types.GetFloat(rec, p.rOff)
-		}
-		var d int
-		switch {
-		case l < r:
-			d = -1
-		case l > r:
-			d = 1
-		}
-		return cmpHolds(p.op, d)
-	})
+		return out[:w]
+	}
+	for _, i := range sel {
+		row := int(i) * st
+		l, r := getNum(payload, row+lOff, lInt), getNum(payload, row+rOff, rInt)
+		sel[w] = i
+		w += maskBit(mask, l < r, l > r)
+	}
+	return sel[:w]
 }
 
 // --- BETWEEN / IN / LIKE ----------------------------------------------------
@@ -320,52 +420,24 @@ func compileBetweenPred(n *Between, sch *types.Schema) BatchPredicate {
 		return nil
 	}
 	k := sch.Cols[col.Idx].Kind
-	off := sch.Offset(col.Idx)
-	allInt := k != types.Float64 && lo.Kind != types.Float64 && hi.Kind != types.Float64
-	switch {
-	case !numericOrDate(k) || !numericOrDate(lo.Kind) || !numericOrDate(hi.Kind):
+	if !numericOrDate(k) || !numericOrDate(lo.Kind) || !numericOrDate(hi.Kind) {
 		return nil
-	case allInt:
-		return &betweenIntPred{off: off, lo: lo.I, hi: hi.I}
-	default:
-		return &betweenFloatPred{off: off, lo: lo.AsFloat(), hi: hi.AsFloat(),
-			colInt: k != types.Float64}
 	}
-}
-
-type betweenIntPred struct {
-	off    int
-	lo, hi int64
-}
-
-func (p *betweenIntPred) Fused() bool { return true }
-
-func (p *betweenIntPred) Select(b *block.Block, sel []int32, buf []int32) []int32 {
-	off, lo, hi := p.off, p.lo, p.hi
-	return selFilter(b, sel, buf, func(rec []byte) bool {
-		x := types.GetInt(rec, off)
-		return x >= lo && x <= hi
-	})
-}
-
-type betweenFloatPred struct {
-	off    int
-	lo, hi float64
-	colInt bool
-}
-
-func (p *betweenFloatPred) Fused() bool { return true }
-
-func (p *betweenFloatPred) Select(b *block.Block, sel []int32, buf []int32) []int32 {
-	return selFilter(b, sel, buf, func(rec []byte) bool {
-		var x float64
-		if p.colInt {
-			x = float64(types.GetInt(rec, p.off))
-		} else {
-			x = types.GetFloat(rec, p.off)
-		}
-		return x >= p.lo && x <= p.hi
-	})
+	off := sch.Offset(col.Idx)
+	loF, hiF := lo.Kind == types.Float64, hi.Kind == types.Float64
+	switch {
+	case k == types.Float64 || loF && hiF:
+		return &floatRangePred{off: off, lo: lo.AsFloat(), hi: hi.AsFloat(),
+			colInt: k != types.Float64}
+	case !loF && !hiF:
+		return newIntRange(off, lo.I, hi.I, false)
+	default:
+		// An integer column between an integer and a float bound: each
+		// bound compares in its own kind (Value.Compare), exactly for the
+		// integer one, so the bounds become two one-sided kernels.
+		return &andPred{preds: []BatchPredicate{
+			colConstCmp(GE, sch, col, lo), colConstCmp(LE, sch, col, hi)}}
+	}
 }
 
 func compileInPred(n *In, sch *types.Schema) BatchPredicate {
@@ -398,19 +470,41 @@ func (p *inIntPred) Fused() bool { return true }
 
 func (p *inIntPred) Select(b *block.Block, sel []int32, buf []int32) []int32 {
 	off, list := p.off, p.list
-	return selFilter(b, sel, buf, func(rec []byte) bool {
-		x := types.GetInt(rec, off)
+	st, payload := b.Schema().Stride(), b.Bytes()
+	w := 0
+	if sel == nil {
+		n := b.NumTuples()
+		out := scanBuf(buf, n)
+		for i, pos := 0, off; i < n; i, pos = i+1, pos+st {
+			x, hit := types.GetInt(payload, pos), 0
+			for _, c := range list {
+				if x == c {
+					hit = 1
+					break
+				}
+			}
+			out[w] = int32(i)
+			w += hit
+		}
+		return out[:w]
+	}
+	for _, i := range sel {
+		x, hit := types.GetInt(payload, int(i)*st+off), 0
 		for _, c := range list {
 			if x == c {
-				return true
+				hit = 1
+				break
 			}
 		}
-		return false
-	})
+		sel[w] = i
+		w += hit
+	}
+	return sel[:w]
 }
 
 // likePred: LIKE / NOT LIKE over a fixed-width CHAR column, matching the
-// NUL-trimmed bytes in place.
+// NUL-trimmed bytes in place. The matcher itself stays a call; the
+// negation is a flag applied to its verdict.
 type likePred struct {
 	off, width int
 	like       *Like
@@ -419,13 +513,25 @@ type likePred struct {
 func (p *likePred) Fused() bool { return true }
 
 func (p *likePred) Select(b *block.Block, sel []int32, buf []int32) []int32 {
-	return selFilter(b, sel, buf, func(rec []byte) bool {
-		ok := p.like.MatchBytes(types.GetStringBytes(rec, p.off, p.width))
-		if p.like.Negate {
-			ok = !ok
+	off, width, like, flip := p.off, p.width, p.like, b2i(p.like.Negate)
+	st, payload := b.Schema().Stride(), b.Bytes()
+	w := 0
+	if sel == nil {
+		n := b.NumTuples()
+		out := scanBuf(buf, n)
+		for i, pos := 0, off; i < n; i, pos = i+1, pos+st {
+			m := like.MatchBytes(types.GetStringBytes(payload, pos, width))
+			out[w] = int32(i)
+			w += b2i(m) ^ flip
 		}
-		return ok
-	})
+		return out[:w]
+	}
+	for _, i := range sel {
+		m := like.MatchBytes(types.GetStringBytes(payload, int(i)*st+off, width))
+		sel[w] = i
+		w += b2i(m) ^ flip
+	}
+	return sel[:w]
 }
 
 // --- conjunction and fallback ----------------------------------------------
@@ -466,7 +572,22 @@ type rowPred struct {
 func (p *rowPred) Fused() bool { return false }
 
 func (p *rowPred) Select(b *block.Block, sel []int32, buf []int32) []int32 {
-	return selFilter(b, sel, buf, func(rec []byte) bool {
-		return Truthy(p.e.Eval(rec, p.sch))
-	})
+	st, payload := b.Schema().Stride(), b.Bytes()
+	if sel == nil {
+		out := buf[:0]
+		for i := 0; i < b.NumTuples(); i++ {
+			if Truthy(p.e.Eval(payload[i*st:i*st+st], p.sch)) {
+				out = append(out, int32(i))
+			}
+		}
+		return out
+	}
+	w := 0
+	for _, i := range sel {
+		if Truthy(p.e.Eval(payload[int(i)*st:int(i)*st+st], p.sch)) {
+			sel[w] = i
+			w++
+		}
+	}
+	return sel[:w]
 }

@@ -42,13 +42,14 @@ type stageKey struct {
 }
 
 // stager returns (creating on first use) the stager for one flow's
-// traffic to a peer. The first creator's scope sticks; concurrent
+// traffic to a peer. The first non-nil scope sticks; concurrent
 // outboxes of the same exchange share the stager and therefore the
-// batch buffer.
+// batch buffer. The scope is set under the stager's own mutex, which
+// guards every read of it (the deadline flush runs under s.mu only),
+// after n.mu is released: flushLocked takes the locks the other way.
 func (n *TCPNode) stager(peer, query, exchange int, scope *telemetry.Scope) *stager {
 	k := stageKey{peer, query, exchange}
 	n.mu.Lock()
-	defer n.mu.Unlock()
 	s, ok := n.stagers[k]
 	if !ok {
 		s = &stager{
@@ -58,8 +59,13 @@ func (n *TCPNode) stager(peer, query, exchange int, scope *telemetry.Scope) *sta
 		}
 		n.stagers[k] = s
 	}
-	if s.scope == nil {
-		s.scope = scope
+	n.mu.Unlock()
+	if scope != nil {
+		s.mu.Lock()
+		if s.scope == nil {
+			s.scope = scope
+		}
+		s.mu.Unlock()
 	}
 	return s
 }

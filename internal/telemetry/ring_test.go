@@ -156,3 +156,80 @@ func TestGaugeSnapshotPeaks(t *testing.T) {
 		t.Errorf("util snapshot = %+v, want Cur=0.2 Peak=0.9", v)
 	}
 }
+
+// TestRingTailStates walks one ring through the three states Tail must
+// handle — partly filled, exactly full, wrapped — checking each time
+// that it returns the newest min(emitted, capacity) events, oldest
+// first, for explicit sizes (1 and 8) and the default capacity.
+func TestRingTailStates(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cap  int
+		opts []Option
+	}{
+		{"size1", 1, []Option{WithRingSize(1)}},
+		{"size8", 8, []Option{WithRingSize(8)}},
+		{"default", defaultRingSize, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sc := NewScope("states", tc.opts...)
+			if tail := sc.Tail(); len(tail) != 0 {
+				t.Fatalf("fresh scope: tail length = %d, want 0", len(tail))
+			}
+			emitted := 0
+			for _, upTo := range []int{tc.cap / 2, tc.cap, tc.cap + 1, 2*tc.cap + 3} {
+				for ; emitted < upTo; emitted++ {
+					sc.Emit(Barrier{Node: emitted})
+				}
+				tail := sc.Tail()
+				want := min(emitted, tc.cap)
+				if len(tail) != want {
+					t.Fatalf("after %d events: tail length = %d, want %d", emitted, len(tail), want)
+				}
+				for i, ev := range tail {
+					wantSeq := uint64(emitted - want + i + 1)
+					if ev.Seq != wantSeq || ev.Rec.(Barrier).Node != int(wantSeq)-1 {
+						t.Fatalf("after %d events: tail[%d] = seq %d node %d, want seq %d",
+							emitted, i, ev.Seq, ev.Rec.(Barrier).Node, wantSeq)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestRingDisabled checks WithRingSize(0): no tail is kept, but the
+// sequence counter and the sinks still see every event.
+func TestRingDisabled(t *testing.T) {
+	sc := NewScope("off", WithRingSize(0))
+	sink := NewMemSink()
+	sc.Attach(sink)
+	for i := 0; i < 10; i++ {
+		sc.Emit(Barrier{Node: i})
+	}
+	if tail := sc.Tail(); tail != nil {
+		t.Fatalf("disabled ring: tail = %d events, want nil", len(tail))
+	}
+	if n := len(sink.Events()); n != 10 || sc.EventCount() != 10 {
+		t.Fatalf("sink saw %d events, EventCount = %d; want 10 and 10", n, sc.EventCount())
+	}
+}
+
+// TestScopeRingAllocatesOnDemand bounds what a short-lived query scope
+// costs: creating a scope and emitting 16 events must allocate under
+// 4 KB. A ring allocated at its full default capacity up front costs
+// about 48 KB here.
+func TestScopeRingAllocatesOnDemand(t *testing.T) {
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sc := NewScope("q")
+			for j := 0; j < 16; j++ {
+				sc.Emit(Barrier{Node: j})
+			}
+		}
+	})
+	if got := res.AllocedBytesPerOp(); got >= 4096 {
+		t.Fatalf("NewScope + 16 Emits allocated %d B/op, want < 4096", got)
+	}
+}

@@ -289,9 +289,9 @@ type Scope struct {
 	sinks atomic.Pointer[[]Sink]
 
 	ringMu  sync.Mutex
-	ring    []Event
+	ring    []Event // grows on demand up to ringCap, then wraps
+	ringCap int
 	ringN   uint64 // events ever appended
-	ringSet bool   // a WithRingSize option was applied (0 disables)
 }
 
 // Option configures a Scope.
@@ -307,34 +307,30 @@ func WithClock(clock func() time.Duration) Option {
 // the ring, leaving sinks as the only consumers).
 func WithRingSize(n int) Option {
 	return func(s *Scope) {
-		if n < 0 {
-			n = 0
-		}
-		s.ringSet = true
-		if n == 0 {
-			s.ring = nil
-			return
-		}
-		s.ring = make([]Event, n)
+		s.ringCap = max(n, 0)
 	}
 }
 
 // defaultRingSize bounds the in-scope event tail. Sinks see every
-// event; the ring is a recent-history debugging window.
+// event; the ring is a recent-history debugging window. It is a cap,
+// not an allocation: the ring starts empty and grows as events arrive,
+// so a query that emits a dozen events pays for a dozen slots.
 const defaultRingSize = 1024
+
+// ringChunk is the ring's first allocation: enough for a point query's
+// events in one allocation.
+const ringChunk = 16
 
 // NewScope creates a scope. Sinks registered via AttachDefault are
 // attached automatically.
 func NewScope(name string, opts ...Option) *Scope {
 	s := &Scope{
-		name:  name,
-		start: time.Now(),
+		name:    name,
+		start:   time.Now(),
+		ringCap: defaultRingSize,
 	}
 	for _, o := range opts {
 		o(s)
-	}
-	if !s.ringSet {
-		s.ring = make([]Event, defaultRingSize)
 	}
 	if defaultSpans.Load() {
 		s.spansOn.Store(true)
@@ -447,9 +443,16 @@ func (s *Scope) Emit(rec Record) {
 		At:    s.Elapsed(),
 		Rec:   rec,
 	}
-	if len(s.ring) > 0 {
+	if s.ringCap > 0 {
 		s.ringMu.Lock()
-		s.ring[s.ringN%uint64(len(s.ring))] = ev
+		if len(s.ring) < s.ringCap {
+			if s.ring == nil {
+				s.ring = make([]Event, 0, min(s.ringCap, ringChunk))
+			}
+			s.ring = append(s.ring, ev)
+		} else {
+			s.ring[s.ringN%uint64(s.ringCap)] = ev
+		}
 		s.ringN++
 		s.ringMu.Unlock()
 	}
@@ -469,13 +472,11 @@ func (s *Scope) Tail() []Event {
 	if n == 0 {
 		return nil
 	}
-	count := s.ringN
-	if count > n {
-		count = n
-	}
-	out := make([]Event, 0, count)
-	for i := uint64(0); i < count; i++ {
-		out = append(out, s.ring[(s.ringN-count+i)%n])
+	// Until the ring first fills, len(ring) == ringN and the oldest
+	// event sits at index 0; after that it sits at ringN mod capacity.
+	out := make([]Event, 0, n)
+	for i := uint64(0); i < n; i++ {
+		out = append(out, s.ring[(s.ringN+i)%n])
 	}
 	return out
 }
