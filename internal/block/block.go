@@ -277,8 +277,10 @@ func Decode(sch *types.Schema, src []byte, tr *Tracker) (*Block, error) {
 	}
 	n := int(binary.LittleEndian.Uint32(src[0:]))
 	payload := src[headerLen:]
-	if want := n * sch.Stride(); len(payload) < want {
-		return nil, fmt.Errorf("block: truncated payload: have %d want %d", len(payload), want)
+	// Divide rather than multiply: a hostile count times a wide record
+	// could overflow int.
+	if st := sch.Stride(); st > 0 && n > len(payload)/st {
+		return nil, fmt.Errorf("block: truncated payload: have %d bytes, %d records of %d", len(payload), n, st)
 	}
 	capTuples := n
 	if capTuples < 1 {

@@ -1,6 +1,7 @@
 package block
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -99,6 +100,17 @@ func TestDecodeErrors(t *testing.T) {
 	enc := b.Encode(nil)
 	if _, err := Decode(sch, enc[:len(enc)-1], nil); err == nil {
 		t.Error("truncated payload should error")
+	}
+	// A maximal record count times the widest record a schema frame can
+	// declare overflows int; it must still read as truncated.
+	wide := make([]types.Column, 65535)
+	for i := range wide {
+		wide[i] = types.Char("c", 65535)
+	}
+	hdr := make([]byte, headerLen)
+	binary.LittleEndian.PutUint32(hdr, 0xFFFFFFFF)
+	if _, err := Decode(types.NewSchema(wide...), hdr, nil); err == nil {
+		t.Error("overflowing record count should error")
 	}
 }
 

@@ -119,18 +119,25 @@ func TestTrackerBudgetRace(t *testing.T) {
 		}
 	}()
 
-	var wg sync.WaitGroup
+	// Each goroutine opens its query account concurrently with the
+	// others, then waits until all are open before hammering: a
+	// goroutine scheduled late would otherwise find the node full and be
+	// refused, rightly, which says nothing about the invariant.
+	var opened, wg sync.WaitGroup
+	opened.Add(goroutines)
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(seed int64) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
 			q, err := node.SubReserve("q", 4096, 0)
+			opened.Done()
 			if err != nil {
 				t.Errorf("subreserve: %v", err)
 				return
 			}
 			defer q.Drop()
+			opened.Wait()
 			op := q.Sub("op")
 			var held []int64
 			for i := 0; i < iters; i++ {

@@ -55,6 +55,8 @@ type Elastic struct {
 	child iterator.Iterator
 	cfg   Config
 	buf   *Buffer
+	// gaugeName is the seg.<Name>.workers gauge, named once.
+	gaugeName string
 
 	mu      sync.Mutex
 	workers map[int]*worker
@@ -110,12 +112,16 @@ func New(child iterator.Iterator, cfg Config) *Elastic {
 	if cfg.BufferCap <= 0 {
 		cfg.BufferCap = 64
 	}
-	return &Elastic{
+	e := &Elastic{
 		child:   child,
 		cfg:     cfg,
 		buf:     NewBuffer(cfg.BufferCap, cfg.OrderPreserving),
 		workers: make(map[int]*worker),
 	}
+	if cfg.Scope != nil {
+		e.gaugeName = telemetry.GaugeSegWorkers(cfg.Name)
+	}
+	return e
 }
 
 // Expand adds one worker thread pinned to the given emulated core and
@@ -156,7 +162,7 @@ func (e *Elastic) Expand(core, socket int) int {
 		e.cfg.Scope.Emit(telemetry.WorkerExpand{
 			Node: e.cfg.Node, Segment: e.cfg.Name, Workers: pool, Core: core,
 		})
-		e.cfg.Scope.Gauge(telemetry.GaugeSegWorkers(e.cfg.Name)).Set(int64(pool))
+		e.cfg.Scope.Gauge(e.gaugeName).Set(int64(pool))
 		// The expansion span covers request-to-first-work — the Figure 9a
 		// expansion latency, visible per worker in the trace view.
 		w.expandSpan = e.cfg.Scope.StartSpan("expand", "elastic").
@@ -193,7 +199,7 @@ func (e *Elastic) Shrink() <-chan time.Duration {
 		e.cfg.Scope.Emit(telemetry.WorkerShrink{
 			Node: e.cfg.Node, Segment: e.cfg.Name, Workers: remaining,
 		})
-		e.cfg.Scope.Gauge(telemetry.GaugeSegWorkers(e.cfg.Name)).Set(int64(remaining))
+		e.cfg.Scope.Gauge(e.gaugeName).Set(int64(remaining))
 		// The shrink span covers request-to-detach — the Figure 9b
 		// shrinkage latency.
 		shrinkSpan = e.cfg.Scope.StartSpan("shrink", "elastic").

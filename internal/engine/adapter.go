@@ -1,7 +1,7 @@
 package engine
 
 import (
-	"fmt"
+	"strconv"
 	"time"
 
 	"repro/internal/sched"
@@ -27,7 +27,7 @@ func newSegAdapter(e *exec, inst *segInst) *segAdapter {
 	return &segAdapter{
 		e:      e,
 		inst:   inst,
-		name:   fmt.Sprintf("S%d@%d", inst.seg.ID, inst.node),
+		name:   inst.name + "@" + strconv.Itoa(inst.node),
 		lastAt: time.Now(),
 	}
 }

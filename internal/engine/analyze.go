@@ -218,7 +218,7 @@ func (az *analyzeState) finish(e *exec) {
 		}
 	}
 	for _, s := range e.p.Segments {
-		name := fmt.Sprintf("S%d", s.ID)
+		name := segName(s.ID)
 		peak := e.scope.Gauge(telemetry.GaugeSegWorkers(name)).Peak()
 		an.segPeak[name] = peak
 		if n := counts[name]; n > 0 {
@@ -395,7 +395,7 @@ func (a *Analysis) ExchangeStall(ex int) time.Duration {
 
 // SegmentWorkers returns a segment's worker-parallelism peak and mean.
 func (a *Analysis) SegmentWorkers(seg *plan.Segment) (peak int64, mean float64) {
-	name := fmt.Sprintf("S%d", seg.ID)
+	name := segName(seg.ID)
 	return a.segPeak[name], a.segMean[name]
 }
 

@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -262,7 +263,7 @@ func (c *Cluster) initShared() {
 	c.bus = sched.NewMasterBus()
 	c.activeEP = make(map[*telemetry.Scope]struct{})
 	for i := 0; i <= c.cfg.Nodes; i++ {
-		mb := block.NewBudget(fmt.Sprintf("node%d", i), c.cfg.MemoryPerNode)
+		mb := block.NewBudget("node"+strconv.Itoa(i), c.cfg.MemoryPerNode)
 		c.memBudgets = append(c.memBudgets, mb)
 		c.leases = append(c.leases, newCoreLease(c.cfg.CoresPerNode))
 		c.scheds = append(c.scheds, sched.NewNodeScheduler(i, sched.Config{

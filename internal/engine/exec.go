@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -58,6 +59,7 @@ var queryScopeSeq atomic.Int64
 type segInst struct {
 	seg     *plan.Segment
 	node    int
+	name    string // "S<id>", the segment's telemetry label
 	el      *elastic.Elastic
 	sender  *iterator.Sender
 	mergers []*iterator.Merger
@@ -226,7 +228,7 @@ func (e *exec) hosts(node int) bool {
 
 // newQueryScope creates the auto-named telemetry scope of one query.
 func newQueryScope() *telemetry.Scope {
-	return telemetry.NewScope(fmt.Sprintf("q%d", queryScopeSeq.Add(1)))
+	return telemetry.NewScope("q" + strconv.FormatInt(queryScopeSeq.Add(1), 10))
 }
 
 // RunPlan executes a compiled plan under the cluster's mode, with a
@@ -295,6 +297,7 @@ func (c *Cluster) runPlanOpts(ctx context.Context, p *plan.Plan, args []types.Va
 	// spilling). With no node budget configured the accounts still
 	// track, so stats and observability work unconstrained.
 	estSlave, estMaster := c.estimateQueryMemory(p)
+	qlabel := "q" + strconv.Itoa(e.qid)
 	for i := 0; i <= c.cfg.Nodes; i++ {
 		est := estSlave
 		if i == c.master() {
@@ -307,8 +310,7 @@ func (c *Cluster) runPlanOpts(ctx context.Context, p *plan.Plan, args []types.Va
 				prepaid = half
 			}
 		}
-		qt, qerr := c.memBudgets[i].SubReserve(
-			fmt.Sprintf("q%d", e.qid), prepaid, c.cfg.MemoryPerQuery)
+		qt, qerr := c.memBudgets[i].SubReserve(qlabel, prepaid, c.cfg.MemoryPerQuery)
 		if qerr != nil {
 			for _, t := range e.qmem {
 				t.Drop()
@@ -426,16 +428,10 @@ func (c *Cluster) runPlanOpts(ctx context.Context, p *plan.Plan, args []types.Va
 
 	// Route caller cancellation into the fail-fast teardown: aborting
 	// the exchanges unwedges every worker, and the query returns the
-	// context's error. The watcher exits with the query (e.stop closes
-	// on every post-instantiation path).
+	// context's error. The watch ends with the query.
+	stopWatch := func() bool { return false }
 	if ctx != nil && ctx.Done() != nil {
-		go func() {
-			select {
-			case <-ctx.Done():
-				e.fail(ctx.Err())
-			case <-e.stop:
-			}
-		}()
+		stopWatch = context.AfterFunc(ctx, func() { e.fail(ctx.Err()) })
 	}
 
 	// Result reader drains the collector concurrently so bounded
@@ -460,9 +456,10 @@ func (c *Cluster) runPlanOpts(ctx context.Context, p *plan.Plan, args []types.Va
 		close(resDone)
 	}
 
-	// Memory/trace sampler.
+	// Memory/trace sampler, started at its first tick: a query shorter
+	// than one interval never starts it.
 	samplerDone := make(chan struct{})
-	go e.sampler(samplerDone)
+	samplerTimer := time.AfterFunc(sampleEvery, func() { e.sampler(samplerDone) })
 
 	// Recovery watchdog: with faults in play, injected worker crashes
 	// can empty a pool mid-query; the watchdog re-expands dead pools on
@@ -491,7 +488,10 @@ func (c *Cluster) runPlanOpts(ctx context.Context, p *plan.Plan, args []types.Va
 		err = e.spillErr()
 	}
 	close(e.stop)
-	<-samplerDone
+	stopWatch()
+	if !samplerTimer.Stop() {
+		<-samplerDone
+	}
 	if watchdogDone != nil {
 		<-watchdogDone
 	}
@@ -563,7 +563,7 @@ func (e *exec) stats() ExecStats {
 
 // instantiate builds one segment instance on a node.
 func (e *exec) instantiate(seg *plan.Segment, node int) (*segInst, error) {
-	inst := &segInst{seg: seg, node: node, done: make(chan struct{})}
+	inst := &segInst{seg: seg, node: node, name: segName(seg.ID), done: make(chan struct{})}
 	root, err := e.buildOp(seg.Root, node, inst)
 	if err != nil {
 		return nil, err
@@ -578,7 +578,7 @@ func (e *exec) instantiate(seg *plan.Segment, node int) (*segInst, error) {
 		OrderPreserving: seg.OrderPreserving,
 		MaxWorkers:      maxW,
 		Scope:           e.scope,
-		Name:            fmt.Sprintf("S%d", seg.ID),
+		Name:            inst.name,
 		Node:            node,
 		Faults:          e.c.faultInj,
 		// Every exiting worker (drain, shrink or crash) returns its core
@@ -617,8 +617,7 @@ func (e *exec) buildOp(op plan.PhysOp, node int, inst *segInst) (iterator.Iterat
 	if err != nil || e.ops == nil {
 		return it, err
 	}
-	return iterator.Instrument(it, e.scope, e.ops[op], plan.OpLabel(op),
-		fmt.Sprintf("S%d", inst.seg.ID), node), nil
+	return iterator.Instrument(it, e.scope, e.ops[op], plan.OpLabel(op), inst.name, node), nil
 }
 
 func (e *exec) buildOpInner(op plan.PhysOp, node int, inst *segInst) (iterator.Iterator, error) {
@@ -734,7 +733,7 @@ func (e *exec) startInst(inst *segInst, parallelism int) {
 	// internally); the stage-entry event aligns the engine's stream
 	// with the simulator's per-stage events.
 	e.scope.Emit(telemetry.SegmentStageChange{
-		Node: inst.node, Segment: fmt.Sprintf("S%d", inst.seg.ID),
+		Node: inst.node, Segment: inst.name,
 		Stage: 0, StageName: "run",
 	})
 	for i := 0; i < parallelism; i++ {
@@ -744,13 +743,13 @@ func (e *exec) startInst(inst *segInst, parallelism int) {
 	// to sender drain. Started here (not in the goroutine) so its begin
 	// timestamp orders before any worker span of the segment.
 	segSp := e.scope.StartSpan("segment", "segment").
-		WithNode(inst.node).WithSegment(fmt.Sprintf("S%d", inst.seg.ID))
+		WithNode(inst.node).WithSegment(inst.name)
 	go func() {
 		defer close(inst.done)
 		defer segSp.End()
 		ctx := &iterator.Ctx{Term: &iterator.TermFlag{}}
 		if err := inst.sender.Run(ctx); err != nil {
-			e.fail(fmt.Errorf("segment S%d on node %d: %w", inst.seg.ID, inst.node, err))
+			e.fail(fmt.Errorf("segment %s on node %d: %w", inst.name, inst.node, err))
 		}
 		inst.el.Close()
 	}()
@@ -788,7 +787,7 @@ func (e *exec) watchdog(done chan struct{}) {
 				expands++
 				e.scope.Counter(telemetry.CtrRecoverExpands).Inc()
 				e.scope.Emit(telemetry.Recovery{
-					Node: inst.node, Segment: fmt.Sprintf("S%d", inst.seg.ID),
+					Node: inst.node, Segment: inst.name,
 					Action: "re-expand", Workers: inst.el.Parallelism(),
 				})
 			}
@@ -916,39 +915,57 @@ func (e *exec) topoOrder() ([]int, error) {
 	return order, nil
 }
 
+// sampleEvery is the sampler's period.
+const sampleEvery = 25 * time.Millisecond
+
+// segName is the telemetry label of segment id.
+func segName(id int) string { return "S" + strconv.Itoa(id) }
+
 // sampler records the materialized-memory gauge and the parallelism
-// trace on the query's telemetry scope.
+// trace on the query's telemetry scope. It starts at the first tick
+// (see runPlanOpts) and samples every sampleEvery until the query
+// stops.
 func (e *exec) sampler(done chan struct{}) {
 	defer close(done)
-	tick := time.NewTicker(25 * time.Millisecond)
+	tick := time.NewTicker(sampleEvery)
 	defer tick.Stop()
 	for {
 		select {
 		case <-e.stop:
 			return
+		default:
+		}
+		e.sample()
+		select {
+		case <-e.stop:
+			return
 		case <-tick.C:
 		}
-		mem := e.tracker.Current()
-		for _, t := range e.qmem {
-			mem += t.Current()
-		}
-		e.memGauge.Set(mem)
-		if e.ops != nil {
-			// Per-operator mem readings feed EXPLAIN ANALYZE's mean column.
-			for _, id := range e.ops {
-				g := e.scope.Gauge(telemetry.OpCtr(id, telemetry.OpMemBytes))
-				if v := g.Load(); v > 0 || e.opMemN[id] > 0 {
-					e.opMemSum[id] += float64(v)
-					e.opMemN[id]++
-				}
-			}
-		}
-		sample := telemetry.ParallelismSample{Parallelism: make(map[string]int)}
-		for _, inst := range e.insts {
-			if inst.node == 0 || inst.seg.OnMaster {
-				sample.Parallelism[fmt.Sprintf("S%d", inst.seg.ID)] = inst.el.Parallelism()
-			}
-		}
-		e.scope.Emit(sample)
 	}
+}
+
+// sample takes one memory and parallelism reading.
+func (e *exec) sample() {
+	mem := e.tracker.Current()
+	for _, t := range e.qmem {
+		mem += t.Current()
+	}
+	e.memGauge.Set(mem)
+	if e.ops != nil {
+		// Per-operator mem readings feed EXPLAIN ANALYZE's mean column.
+		for _, id := range e.ops {
+			g := e.scope.Gauge(telemetry.OpCtr(id, telemetry.OpMemBytes))
+			if v := g.Load(); v > 0 || e.opMemN[id] > 0 {
+				e.opMemSum[id] += float64(v)
+				e.opMemN[id]++
+			}
+		}
+	}
+	sample := telemetry.ParallelismSample{Parallelism: make(map[string]int)}
+	for _, inst := range e.insts {
+		if inst.node == 0 || inst.seg.OnMaster {
+			sample.Parallelism[inst.name] = inst.el.Parallelism()
+		}
+	}
+	e.scope.Emit(sample)
 }

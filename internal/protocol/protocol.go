@@ -220,13 +220,21 @@ func AppendSchema(dst []byte, names []string, sch *types.Schema) []byte {
 }
 
 // DecodeSchema decodes a MsgSchema payload into a schema whose column
-// names are the result's display names.
+// names are the result's display names. It rejects what no server
+// sends: unknown kinds, zero-width strings and zero-column schemas.
 func DecodeSchema(src []byte) (*types.Schema, error) {
 	if len(src) < 2 {
 		return nil, fmt.Errorf("protocol: truncated schema")
 	}
 	n := int(binary.LittleEndian.Uint16(src))
+	if n == 0 {
+		// A zero-byte record cannot frame a block.
+		return nil, fmt.Errorf("protocol: schema has no columns")
+	}
 	src = src[2:]
+	if len(src) < 5*n { // each column takes at least 5 bytes
+		return nil, fmt.Errorf("protocol: truncated schema")
+	}
 	cols := make([]types.Column, n)
 	for i := 0; i < n; i++ {
 		name, rest, err := DecodeString(src)
@@ -240,6 +248,12 @@ func DecodeSchema(src []byte) (*types.Schema, error) {
 		kind := types.Kind(src[0])
 		width := int(binary.LittleEndian.Uint16(src[1:]))
 		src = src[3:]
+		switch {
+		case kind > types.Date:
+			return nil, fmt.Errorf("protocol: column %q has unknown kind %d", name, kind)
+		case kind == types.String && width == 0:
+			return nil, fmt.Errorf("protocol: string column %q has zero width", name)
+		}
 		cols[i] = types.Column{Name: name, Kind: kind, Width: width}
 	}
 	return types.NewSchema(cols...), nil

@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -18,6 +19,12 @@ import (
 // Server accepts client connections and serves each one as a session:
 // requests are dispatched to the backend through per-connection
 // prepared-statement state, results stream back block-by-block.
+//
+// Connection I/O is buffered: a request arrives in one read(2) when it
+// fits the read buffer, and a whole response (OK, Error, or
+// Schema…Done) leaves in one write(2) when it fits the write buffer.
+// Larger results stream, flushing whenever the buffer fills, so the
+// server holds at most one buffer of unsent bytes per connection.
 type Server struct {
 	ln      net.Listener
 	backend session.Backend
@@ -35,11 +42,21 @@ func Serve(addr string, b session.Backend) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("protocol: %w", err)
 	}
+	return serve(ln, b), nil
+}
+
+// serve starts serving connections accepted from ln.
+func serve(ln net.Listener, b session.Backend) *Server {
 	s := &Server{ln: ln, backend: b, conns: make(map[net.Conn]struct{})}
 	s.wg.Add(1)
 	go s.acceptLoop()
-	return s, nil
+	return s
 }
+
+// writeBufSize is a connection's response buffer: it holds a point
+// lookup's whole response, and bounds what a large result keeps
+// unsent before flushing.
+const writeBufSize = 16 << 10
 
 // Addr reports the bound listen address.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
@@ -82,7 +99,8 @@ func (s *Server) acceptLoop() {
 // the connection and dies with it. Statement-level failures go back as
 // MsgError and the session continues; protocol-level failures (bad
 // magic, short reads, oversized frames) drop the connection — the
-// stream can no longer be trusted.
+// stream can no longer be trusted. Each response is flushed once,
+// after dispatch returns.
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -94,18 +112,22 @@ func (s *Server) serveConn(conn net.Conn) {
 
 	sess := session.New(s.backend)
 	reg := telemetry.DefaultRegistry()
-	w := newFrameWriter(conn)
+	r := bufio.NewReader(conn)
+	bw := bufio.NewWriterSize(conn, writeBufSize)
+	w := newFrameWriter(bw)
 	var buf []byte
 	for {
-		typ, payload, nbuf, err := ReadFrame(conn, buf)
+		typ, payload, nbuf, err := ReadFrame(r, buf)
 		buf = nbuf
 		if err != nil {
 			return // EOF on clean disconnect, junk otherwise; either way drop
 		}
 		reg.Counter(telemetry.CtrProtoRequests).Inc()
-		if err := s.dispatch(sess, w, typ, payload); err != nil {
+		derr := s.dispatch(sess, w, typ, payload)
+		ferr := bw.Flush()
+		if derr != nil || ferr != nil {
 			reg.Counter(telemetry.CtrProtoErrors).Inc()
-			if !errors.Is(err, errStatement) {
+			if ferr != nil || !errors.Is(derr, errStatement) {
 				return // write failure or protocol violation
 			}
 		}
@@ -144,23 +166,9 @@ func (s *Server) dispatch(sess *session.Session, w *frameWriter, typ byte, paylo
 		return w.send(MsgOK, pl[:])
 
 	case MsgExecute:
-		name, rest, err := DecodeString(payload)
+		name, args, err := decodeExecute(payload)
 		if err != nil {
 			return err
-		}
-		if len(rest) < 2 {
-			return fmt.Errorf("protocol: truncated EXECUTE")
-		}
-		nargs := int(rest[0]) | int(rest[1])<<8
-		rest = rest[2:]
-		args := make([]types.Value, 0, nargs)
-		for i := 0; i < nargs; i++ {
-			v, r2, err := DecodeValue(rest)
-			if err != nil {
-				return err
-			}
-			args = append(args, v)
-			rest = r2
 		}
 		res, err := sess.Execute(context.Background(), name, args)
 		if err != nil {
@@ -179,6 +187,32 @@ func (s *Server) dispatch(sess *session.Session, w *frameWriter, typ byte, paylo
 		return w.send(MsgOK, nil)
 	}
 	return fmt.Errorf("protocol: unknown request type %d", typ)
+}
+
+// decodeExecute decodes a MsgExecute payload: the statement name and
+// its arguments.
+func decodeExecute(payload []byte) (string, []types.Value, error) {
+	name, rest, err := DecodeString(payload)
+	if err != nil {
+		return "", nil, err
+	}
+	if len(rest) < 2 {
+		return "", nil, fmt.Errorf("protocol: truncated EXECUTE")
+	}
+	nargs := int(rest[0]) | int(rest[1])<<8
+	rest = rest[2:]
+	// Every value takes at least one byte, so the payload bounds the
+	// allocation whatever count the frame claims.
+	args := make([]types.Value, 0, min(nargs, len(rest)))
+	for i := 0; i < nargs; i++ {
+		v, r2, err := DecodeValue(rest)
+		if err != nil {
+			return "", nil, err
+		}
+		args = append(args, v)
+		rest = r2
+	}
+	return name, args, nil
 }
 
 // frameWriter serializes responses; scratch is reused across frames so
